@@ -208,7 +208,7 @@ def _cmd_stream(cfg: CliConfig) -> int:
     stream = plan.streams[0]
     lines = [stream.next_row().to_json_line() for _ in range(cfg.rows)]
     count, masses = completed_columns(stream)
-    targets = stream._perm_vals[:count]
+    targets = stream.permuted_values(count)
     summary = {
         "completed": count,
         "norms_squared": list(masses),

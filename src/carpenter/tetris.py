@@ -11,9 +11,13 @@ counts). Thresholds m_n and k_n are counts of terms, matching the usual
 "smallest k whose partial sum reaches n" definitions, so a row's 0-based
 support is [k_{n-1}-2, k_n-1].
 
-Partial-sum boundaries are decided with math.fsum (correctly rounded), so an
-exact hit such as 0.5 + 0.5 = 1 lands on the minimal count deterministically;
-a plain running sum is only used to locate the neighborhood quickly.
+Partial-sum boundaries compare the correctly rounded prefix sum with the
+target, the value math.fsum gives, so an exact hit such as 0.5 + 0.5 = 1
+lands on the minimal count deterministically. Each ordering of the terms
+(source order for m_n, permuted order for k_n and sigma_n) keeps one exact
+running sum in units of 2**-1074 (Shewchuk's exact summation, done with a
+Python int), and its pointer only moves forward, so every term is added
+once and a stream of R rows costs O(R) additions.
 """
 
 from __future__ import annotations
@@ -30,14 +34,63 @@ from .diagonal import DiagonalSpec
 ROW_NORM_TOL = 1e-12
 SOLVE_A_TOL = 1e-12
 _CHUNK = 1024
-_BOUNDARY_GUARD = 1e-9
 
 # Boundary radicands (d1 - a, d2 - sigma + a, and the trailing pair) vanish
 # exactly whenever a column block ends flush with a row, e.g. for a constant
 # diagonal 0.1 where sigma = d1 + d2 in real arithmetic. Cancellation leaves
 # ~1e-16 residue that sqrt amplifies to ~1e-8 spurious entries, which ruins
-# orthogonality between adjacent rows. Anything this small is a true zero.
+# orthogonality between adjacent rows. Anything this small is taken as zero,
+# which moves a column or row norm by at most this much.
 _SNAP_TOL = 1e-13
+
+# A radicand this small is mostly rounding residue (~1e-17), which sqrt
+# amplifies: on a 1e-13 radicand it moves the root by ~1e-11. Below this
+# bound a row's opening pair is tied to the previous row by the balance
+# equation instead (see TetrisStream._opening_pair).
+_BALANCE_TOL = 1e-9
+
+_SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
+
+
+def _exact(x: float) -> int:
+    """``x`` as an exact integer number of units 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _least_reaching(target: float) -> int:
+    """Smallest exact sum, in units of 2**-1074, whose correctly rounded
+    value is >= ``target`` (a positive normal double). Int true division
+    rounds correctly, ties to even, as math.fsum does."""
+    mid = (_exact(math.nextafter(target, 0.0)) + _exact(target)) // 2
+    return mid if mid / _SCALE >= target else mid + 1
+
+
+class _RunningSum:
+    """Exact prefix sums of a growing list, advanced one term at a time.
+
+    Sums are integers in units of 2**-1074, in which every double and every
+    sum of doubles is exact; dividing by ``_SCALE`` rounds correctly. The
+    sums at the last three counts are kept, so a caller can read the sum
+    two terms back.
+    """
+
+    __slots__ = ("vals", "count", "_last")
+
+    def __init__(self, vals: list[float]):
+        self.vals = vals
+        self.count = 0
+        self._last = [0, 0, 0]  # exact sums at count - 2, count - 1, count
+
+    def advance(self) -> None:
+        last = self._last
+        last[0], last[1], last[2] = last[1], last[2], last[2] + _exact(self.vals[self.count])
+        self.count += 1
+
+    def at(self, count: int) -> int:
+        """Exact sum of the first ``count`` terms; ``count`` may lag
+        ``self.count`` by at most two."""
+        return self._last[count - self.count + 2]
 
 
 class NeedsMoreTermsError(RuntimeError):
@@ -122,6 +175,8 @@ class TetrisStream:
         self._vals: list[float] = []
         self.pi: list[int] = []
         self._perm_vals: list[float] = []
+        self._src_sum = _RunningSum(self._vals)
+        self._perm_sum = _RunningSum(self._perm_vals)
         self.m: list[int] = []
         self.k: list[int] = []
         self.sigma: list[float] = []
@@ -167,50 +222,54 @@ class TetrisStream:
 
     # -- thresholds and permutation ---------------------------------------
 
-    def _min_count(self, vals: list[float], target: float, lo_count: int, extendable: bool) -> int:
-        """Smallest k > lo_count with fsum(vals[:k]) >= target."""
-        k = max(lo_count + 1, 1)
-        if extendable:
-            self._need_terms(k, target)
-        acc = math.fsum(vals[:k])
-        while acc < target - _BOUNDARY_GUARD:
-            k += 1
-            if extendable:
-                self._need_terms(k, target)
-            elif k > len(vals):
-                raise NeedsMoreTermsError(f"prefix of {len(vals)} terms sums below {target}")
-            acc += vals[k - 1]
-        while k > lo_count + 1 and math.fsum(vals[: k - 1]) >= target:
-            k -= 1
-        while math.fsum(vals[:k]) < target:
-            k += 1
-            if extendable:
-                self._need_terms(k, target)
-            elif k > len(vals):
-                raise NeedsMoreTermsError(f"prefix of {len(vals)} terms sums below {target}")
-        return k
+    def _min_count(self, prefix: _RunningSum, target: float, lo_count: int, extendable: bool) -> int:
+        """Smallest k > lo_count whose k-term prefix has a correctly rounded
+        sum >= target.
 
-    def _ensure_thresholds(self, n: int) -> None:
-        while len(self.m) < n:
-            nn = len(self.m) + 1
+        The terms are nonnegative, so rounded prefix sums never decrease and
+        the first count past lo_count that reaches ``target`` is the answer.
+        The rule compares the rounded sum, not the exact one: 0.7 + 3 * 0.1
+        lies just below 1 but rounds to 1.0, so it reaches 1. ``prefix``
+        starts at or below lo_count and only moves forward.
+        """
+        need = _least_reaching(target)
+        while prefix.count <= lo_count or prefix.at(prefix.count) < need:
+            if extendable:
+                self._need_terms(prefix.count + 1, target)
+            elif prefix.count >= len(prefix.vals):
+                raise NeedsMoreTermsError(f"prefix of {prefix.count} terms sums below {target}")
+            prefix.advance()
+        return prefix.count
+
+    def _ensure_rows(self, n: int) -> None:
+        """Thresholds m, k, the permutation and sigma, a for rows 1..n."""
+        while len(self.k) < n:
+            nn = len(self.k) + 1
             prev = self.m[-1] if self.m else 0
-            mn = self._min_count(self._vals, float(nn), prev, extendable=True)
+            mn = self._min_count(self._src_sum, float(nn), prev, extendable=True)
             self.m.append(mn)
             block = sorted(range(prev, mn), key=lambda p: -self._vals[p])
             self.pi.extend(block)
             self._perm_vals.extend(self._vals[p] for p in block)
-        while len(self.k) < n:
-            nn = len(self.k) + 1
-            prev = self.m[nn - 2] if nn >= 2 else 0
-            kn = self._min_count(self._perm_vals, float(nn), prev, extendable=False)
-            if not prev + 2 <= kn <= self.m[nn - 1]:
+            kn = self._min_count(self._perm_sum, float(nn), prev, extendable=False)
+            if not prev + 2 <= kn <= mn:
                 raise AssertionError(
                     f"threshold sandwich violated at n={nn}: "
-                    f"m_prev+2={prev + 2}, k={kn}, m={self.m[nn - 1]}"
+                    f"m_prev+2={prev + 2}, k={kn}, m={mn}"
                 )
-            if self._perm_vals[kn - 2] < self._perm_vals[kn - 1]:
+            d1 = self._perm_vals[kn - 2]
+            d2 = self._perm_vals[kn - 1]
+            if d1 < d2:
                 raise AssertionError(f"reorder postcondition failed at n={nn}")
             self.k.append(kn)
+            # correctly rounded nn - (sum of the first kn - 2 permuted terms)
+            s = (nn * _SCALE - self._perm_sum.at(kn - 2)) / _SCALE
+            if not max(d1, d2) - SOLVE_A_TOL <= s <= d1 + d2 + SOLVE_A_TOL:
+                raise AssertionError(
+                    f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
+                )
+            self.sigma.append(s)
+            self.a.append(solve_a(s, d1, d2))
 
     def permuted_labels(self, count: int) -> list[int]:
         """Source labels of the first ``count`` columns in working order."""
@@ -218,20 +277,11 @@ class TetrisStream:
             raise ValueError(f"only {len(self.pi)} columns ordered so far, asked for {count}")
         return [self._labels[p] for p in self.pi[:count]]
 
-    def _ensure_row_params(self, n: int) -> None:
-        self._ensure_thresholds(n)
-        while len(self.sigma) < n:
-            nn = len(self.sigma) + 1
-            kn = self.k[nn - 1]
-            s = math.fsum([float(nn)] + [-v for v in self._perm_vals[: kn - 2]])
-            d1 = self._perm_vals[kn - 2]
-            d2 = self._perm_vals[kn - 1]
-            if not max(d1, d2) - SOLVE_A_TOL <= s <= d1 + d2 + SOLVE_A_TOL:
-                raise AssertionError(
-                    f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
-                )
-            self.sigma.append(s)
-            self.a.append(solve_a(s, d1, d2))
+    def permuted_values(self, count: int) -> list[float]:
+        """Diagonal values of the first ``count`` columns in working order."""
+        if count > len(self.pi):
+            raise ValueError(f"only {len(self.pi)} columns ordered so far, asked for {count}")
+        return self._perm_vals[:count]
 
     # -- row emission ------------------------------------------------------
 
@@ -243,9 +293,34 @@ class TetrisStream:
             return 0.0
         return math.sqrt(max(x, 0.0))
 
+    def _opening_pair(self, kp: int, ap: float, sp: float) -> list[float]:
+        """The two entries a row shares with the previous row, whose closing
+        pair is (u, -w) = (sqrt(ap), -sqrt(sp - ap)) on columns kp-2, kp-1.
+
+        In exact arithmetic x = sqrt(d1 - ap) and y = sqrt(d2 - sp + ap) meet
+        the balance equation u*x = w*y of solve_a, so the rows are orthogonal.
+        When one radicand is below _BALANCE_TOL, the smaller entry is derived
+        from the other through that equation instead, which keeps the rows
+        orthogonal whatever rounding residue the radicands carry; the column
+        norms then move by about that residue. Residues that drift with the
+        row count (constant 0.1, where float 0.1 != 1/10) eventually straddle
+        _SNAP_TOL, and snapping only one entry of the pair to 0 would leave an
+        overlap of ~1e-7.
+        """
+        d1, d2 = self._perm_vals[kp - 2], self._perm_vals[kp - 1]
+        rx, ry = d1 - ap, d2 - sp + ap
+        x, y = self._root(rx, snap=True), self._root(ry, snap=True)
+        if min(rx, ry) <= _BALANCE_TOL:
+            u, w = self._root(ap, snap=True), self._root(sp - ap, snap=True)
+            if rx <= ry and u > 0.0:
+                x = y * w / u
+            elif ry < rx and w > 0.0:
+                y = x * u / w
+        return [x, y]
+
     def next_row(self) -> SparseRow:
         n = self.rows_emitted + 1
-        self._ensure_row_params(n)
+        self._ensure_rows(n)
         kn = self.k[n - 1]
         sig, a = self.sigma[n - 1], self.a[n - 1]
         if n == 1:
@@ -254,11 +329,7 @@ class TetrisStream:
         else:
             kp = self.k[n - 2]
             start = kp - 2
-            ap, sp = self.a[n - 2], self.sigma[n - 2]
-            vals = [
-                self._root(self._perm_vals[kp - 2] - ap, snap=True),
-                self._root(self._perm_vals[kp - 1] - sp + ap, snap=True),
-            ]
+            vals = self._opening_pair(kp, self.a[n - 2], self.sigma[n - 2])
             vals.extend(self._root(v) for v in self._perm_vals[kp : kn - 2])
         vals.append(self._root(a, snap=True))
         vals.append(-self._root(sig - a, snap=True))
@@ -283,13 +354,13 @@ def reorder(source, upto: int):
     lists the original positions of the permuted prefix covering m_upto terms.
     """
     stream = source if isinstance(source, TetrisStream) else TetrisStream(source)
-    stream._ensure_thresholds(upto)
+    stream._ensure_rows(upto)
     labels = [stream._labels[p] for p in stream.pi]
     return labels, list(stream.m[:upto]), list(stream.k[:upto])
 
 
 def sigma_n(stream: TetrisStream, n: int) -> float:
-    stream._ensure_row_params(n)
+    stream._ensure_rows(n)
     return stream.sigma[n - 1]
 
 

@@ -75,24 +75,29 @@ def check_rows(rows) -> float:
     """Max-norm deviation of the rows' Gram matrix from the identity.
 
     Accepts anything with ``start`` and ``values`` attributes (sparse rows)
-    or plain dense vectors.
+    or plain dense vectors. Only pairs of rows whose supports overlap are
+    multiplied: after sorting by first column, the partners of a row are the
+    rows that start before it ends. Nothing assumes a band structure, and
+    every other Gram entry is an exact zero.
     """
-    dense = []
-    width = 0
+    spans = []
     for row in rows:
         if hasattr(row, "values") and hasattr(row, "start"):
             start, vals = row.start, list(row.values)
         else:
             start, vals = 0, list(row)
-        width = max(width, start + len(vals))
-        dense.append((start, vals))
-    if not dense:
-        return 0.0
-    V = np.zeros((len(dense), width))
-    for r, (start, vals) in enumerate(dense):
-        V[r, start : start + len(vals)] = vals
-    G = V @ V.T
-    return float(np.max(np.abs(G - np.eye(len(dense)))))
+        spans.append((start, start + len(vals), vals))
+    spans.sort(key=lambda span: span[0])
+    worst = 0.0
+    for i, (start, end, vals) in enumerate(spans):
+        worst = max(worst, abs(math.fsum(x * x for x in vals) - 1.0))
+        for j in range(i + 1, len(spans)):
+            other, other_end, other_vals = spans[j]
+            if other >= end:
+                break
+            overlap = zip(vals[other - start : other_end - start], other_vals)
+            worst = max(worst, abs(math.fsum(x * y for x, y in overlap)))
+    return worst
 
 
 def necessity_oracle(n: int, rank: int, trials: int, seed: int = 0) -> bool:

@@ -1,5 +1,6 @@
 """Streaming sparse-row construction for divergent diagonals."""
 
+import hashlib
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from carpenter import (
     ConstantTail,
     DiagonalSpec,
     NeedsMoreTermsError,
+    PowerTail,
     SparseRow,
     TetrisStream,
     check_rows,
@@ -193,3 +195,79 @@ def test_needs_more_terms_cap():
     with pytest.raises(NeedsMoreTermsError):
         for _ in range(10):
             next_row(s)
+
+
+# sha256 over the rows' JSON lines (each followed by "\n"), recorded from the
+# fsum-per-prefix implementation that the running exact sums replaced; the
+# rows must stay bit-identical.
+ROW_DIGESTS = {
+    (0.1, None): "57d1404ce687c777d0451f39df169b574e1bd51ecc75eb144af8b23004aae9b5",
+    (0.1, 0.7): "14632f7a8763e059ac75ad1f3e23d548c60c78178d2ea68836fa9e0ac2a98481",
+    (0.1, 0.9): "d48f0a87c521f0f04f8b3f2a598b5635fd297b6b06c71dcc3354863e1ec1b830",
+    (0.1, 0.73512): "78c657783bee524b4a9b0eab9f63b1dc4ba6770ba0afcea529856de19ade2361",
+    (0.25, None): "e177c556012e32998356320a9bdf1ed4918929a9df50b032e3ae9741df12123e",
+    (0.25, 0.7): "c066b5538cd88976ac51145faf3d129094cdf1ca1d68563b9d038013d47fda6e",
+    (0.25, 0.9): "b33a3372934683dc22cd293e6988d636ff0bdada7320d8e8b4050e28c49cf402",
+    (0.25, 0.73512): "85c79f0f560826b3d32f7ff85745e271051465f858d230426160e4c5374a5ebb",
+    (0.4, None): "d04a239ff76cb9fcfc4269f714307ae6ccf5b802b1525c300d4f2b963b7ce0b0",
+    (0.4, 0.7): "12c1f1ea1886eb1d8797d318556154261bebb698a3fc08ba2039d1ebc568cb9b",
+    (0.4, 0.9): "4057d6b75079a5768d61d1f206abd5ffb88da2edebd20e8fd63da138f248b738",
+    (0.4, 0.73512): "c630cc56086294dfde02f059192e89c29e11761784ab261e39969c26b9042b6d",
+    (0.5, None): "3566e109273b94fa8809d007c566d572942a6bca58942000787c145af6bbcf87",
+    (0.5, 0.7): "810d8d70ce1f88935a87bdd8408b6aaa7fb6dbaea1e8e1a880d396db0ed52318",
+    (0.5, 0.9): "b1519b27a1c6edff75a2e239653a9124abec36734c120aa26e9dffaa14a3566f",
+    (0.5, 0.73512): "ab5fd6cf735c0a71d82fecf233622d46ed4524b8bd3d5fa54bf1d85ab9afe9d3",
+}
+POWER_DIGEST = "4ee09fe3400db390a1da50b15e9ffa4f775e5e0de1d7639c9d209487cde9c7bd"
+
+
+def rows_digest(stream, count):
+    h = hashlib.sha256()
+    for _ in range(count):
+        h.update(stream.next_row().to_json_line().encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("c, head", list(ROW_DIGESTS))
+def test_rows_bit_identical_constant_families(c, head):
+    assert rows_digest(const_stream(c, head=head), 1000) == ROW_DIGESTS[c, head]
+
+
+def test_rows_bit_identical_power_tail():
+    stream = TetrisStream(DiagonalSpec((), PowerTail(0.3, 0.5)))
+    assert rows_digest(stream, 100) == POWER_DIGEST
+
+
+def test_threshold_compares_rounded_sum():
+    # 0.7 + 3 * 0.1 is just below 1 exactly but rounds to 1.0, so four terms
+    # reach 1; comparing the exact sum would take a fifth term
+    s = const_stream(0.1, head=0.7)
+    assert math.fsum([0.7, 0.1, 0.1, 0.1]) == 1.0
+    assert sigma_n(s, 1) == 0.20000000000000004
+    assert s.k[0] == 4
+
+
+def test_permuted_values_follow_permuted_labels():
+    source = itertools.chain([(0, 0.2), (1, 0.5), (2, 0.4)], ((i, 0.45) for i in itertools.count(3)))
+    s = TetrisStream(source)
+    next_row(s)
+    assert s.permuted_values(3) == [0.5, 0.4, 0.2]
+    with pytest.raises(ValueError):
+        s.permuted_values(len(s.pi) + 1)
+
+
+def test_long_stream_constant_01():
+    # 10^5 source terms: the per-prefix fsum scheme this replaced needed
+    # minutes here. Past row ~3600 the drift of float 0.1 != 1/10 pushes the
+    # opening radicands across the snap tolerance; rows must stay orthogonal.
+    s = const_stream(0.1)
+    rows = [next_row(s) for _ in range(10_000)]
+    assert s.m[-1] == 100_000
+    assert check_rows(rows) <= 1e-11
+    count, norms = completed_columns(s)
+    assert count == s.k[-1] - 2
+    assert np.max(np.abs(norms - 0.1)) <= 1e-12
+    prev = 0
+    for n, kn in enumerate(s.k, 1):
+        assert prev + 2 <= kn <= s.m[n - 1]
+        prev = s.m[n - 1]

@@ -9,6 +9,7 @@ import pytest
 from carpenter import (
     ConstantTail,
     DiagonalSpec,
+    SparseRow,
     TetrisStream,
     VerificationReport,
     build_summable,
@@ -69,6 +70,27 @@ def test_check_rows_dense_and_sparse():
     s = TetrisStream(DiagonalSpec((), ConstantTail(0.4)))
     rows = [s.next_row(), s.next_row()]
     assert check_rows(rows) <= 1e-12
+
+
+def test_check_rows_any_overlap_pattern():
+    # supports out of order, and a wide row that overlaps a row two places
+    # later in column order: every overlapping pair counts, not only neighbors
+    wide = SparseRow(1, 0, (0.6, 0.0, 0.0, 0.8))
+    rows = [SparseRow(3, 3, (1.0,)), wide, SparseRow(2, 1, (1.0,))]
+    assert check_rows(rows) == pytest.approx(0.8, abs=1e-15)
+
+
+def test_check_rows_matches_dense_gram():
+    rng = np.random.default_rng(5)
+    rows = []
+    for n in range(40):
+        start = int(rng.integers(0, 30))
+        rows.append(SparseRow(n + 1, start, tuple(rng.standard_normal(int(rng.integers(1, 8))))))
+    V = np.zeros((len(rows), 40))
+    for r, row in enumerate(rows):
+        V[r, row.start : row.start + len(row.values)] = row.values
+    dense = np.max(np.abs(V @ V.T - np.eye(len(rows))))
+    assert check_rows(rows) == pytest.approx(dense, rel=1e-12)
 
 
 def test_necessity_oracle_small_cases():
