@@ -29,33 +29,22 @@ from .diagonal import (
     Verdict,
     classify,
     complement_spec,
-    strip_trivial,
     tail_sums,
 )
-from .horn import (
-    MajorizationInput,
-    check_majorization,
-    convex_mix_unitary,
-    horn_build,
-    rank_one,
-)
+from .horn import MajorizationInput, horn_build
 from .moves import (
     Move,
     MovePlan,
     OpsRequest,
     ops_restore,
     ops_shift,
-    rotate_to_diagonal,
 )
 from .tetris import (
     NeedsMoreTermsError,
     SparseRow,
     TetrisStream,
     completed_columns,
-    next_row,
     projection_prefix,
-    reorder,
-    sigma_n,
     solve_a,
 )
 from .verify import (
@@ -91,25 +80,17 @@ __all__ = [
     "build_case2",
     "build_cosummable",
     "build_summable",
-    "check_majorization",
     "check_projection",
     "check_rows",
     "classify",
     "complement",
     "complement_spec",
     "completed_columns",
-    "convex_mix_unitary",
     "horn_build",
     "necessity_oracle",
-    "next_row",
     "ops_restore",
     "ops_shift",
     "projection_prefix",
-    "rank_one",
-    "reorder",
-    "rotate_to_diagonal",
-    "sigma_n",
     "solve_a",
-    "strip_trivial",
     "tail_sums",
 ]

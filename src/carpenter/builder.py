@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .diagonal import (
     INTEGRALITY_TOL,
@@ -78,17 +77,16 @@ class BuildOptions:
 class BuildResult:
     """Outcome of a build.
 
-    ``matrix`` is a finite corner in original coordinates (``permutation``
-    maps matrix coordinates to input positions; it is the identity range for
-    every current route). For streamed verdicts ``streams`` holds the live
-    block streams, ``completed_indices`` the input positions whose diagonal
-    entries are final, and ``complemented`` says the streams realize 1-d with
-    the matrix already flipped back.
+    ``matrix`` is a finite corner in original input coordinates. For
+    streamed verdicts ``streams`` holds the live block streams,
+    ``completed_indices`` the input positions whose diagonal entries are
+    final, and ``complemented`` says the streams realize 1-d with the matrix
+    already flipped back. ``approximation_error`` bounds every diagonal
+    entry's distance from the input on the approximate route.
     """
 
     kadison: KadisonReport
     matrix: np.ndarray | None = None
-    permutation: list[int] | None = None
     report: VerificationReport | None = None
     approximation_error: float = 0.0
     streams: list[TetrisStream] | None = None
@@ -120,23 +118,23 @@ def _nudge_to_sum(vals: list[float], target: float) -> float:
 
 def _spread_to_sum(vals: list[float], target: float) -> float:
     """Like _nudge_to_sum but spreads the residual evenly, minimizing the
-    per-entry deviation. Returns the largest single-entry change."""
-    worst = 0.0
+    per-entry deviation. Returns the largest total change of one entry over
+    all passes."""
+    before = list(vals)
     for _ in range(16):
         r = target - math.fsum(vals)
         if abs(r) <= 1e-12:
-            return worst
+            break
         open_idx = [i for i in range(len(vals)) if (vals[i] < 1.0 if r > 0 else vals[i] > 0.0)]
         if not open_idx:
             raise ValueError(f"cannot absorb integrality residual {r} into the core")
         per = r / len(open_idx)
         for i in open_idx:
-            new = min(1.0, max(0.0, vals[i] + per))
-            worst = max(worst, abs(new - vals[i]))
-            vals[i] = new
-    if abs(target - math.fsum(vals)) > 1e-10:
-        raise ValueError("integrality residual failed to converge")
-    return worst
+            vals[i] = min(1.0, max(0.0, vals[i] + per))
+    else:
+        if abs(target - math.fsum(vals)) > 1e-10:
+            raise ValueError("integrality residual failed to converge")
+    return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
 
 
 def build_summable(d) -> np.ndarray:
@@ -270,13 +268,7 @@ def _build_finite(vals: list[float], report: KadisonReport, options: BuildOption
     for i in ones:
         out[i, i] = 1.0
     rep = check_projection(out, vals)
-    return BuildResult(
-        kadison=report,
-        matrix=out,
-        permutation=list(range(n)),
-        report=rep,
-        notices=notices,
-    )
+    return BuildResult(kadison=report, matrix=out, report=rep, notices=notices)
 
 
 def _build_power_approximate(
@@ -298,6 +290,8 @@ def _build_power_approximate(
     core_idx = [i for i, v in enumerate(vals) if eps <= v <= 1.0 - eps]
     core = [vals[i] for i in core_idx]
 
+    from scipy.special import zeta  # costs ~0.3 s, so only power tails pay it
+
     beyond = tail.c * float(zeta(tail.p, cutoff + 1))
     zeroed_mass = math.fsum(vals[i] for i in zero_idx) + beyond
     raised_gap = math.fsum(1.0 - vals[i] for i in one_idx)
@@ -318,18 +312,15 @@ def _build_power_approximate(
     for i in one_idx:
         out[i, i] = 1.0
 
-    err_candidates = [worst_spread, tail.value(cutoff + 1)]
+    # A core entry is off by its spread plus the exact build's own rounding,
+    # which stays within PROJECTION_TOL; zeroed and raised entries are off by
+    # exactly their value and co-value.
+    err_candidates = [worst_spread + PROJECTION_TOL, tail.value(cutoff + 1)]
     err_candidates += [vals[i] for i in zero_idx]
     err_candidates += [1.0 - vals[i] for i in one_idx]
     err = max(err_candidates)
-    rep = check_projection(out, vals, tol=max(PROJECTION_TOL, err))
-    return BuildResult(
-        kadison=report,
-        matrix=out,
-        permutation=list(range(dim)),
-        report=rep,
-        approximation_error=err,
-    )
+    rep = check_projection(out, vals, tol=err)
+    return BuildResult(kadison=report, matrix=out, report=rep, approximation_error=err)
 
 
 @dataclass
@@ -452,7 +443,6 @@ def _build_case2_result(
     if plan.complemented:
         out = np.eye(dim) - out
     result.matrix = out
-    result.permutation = list(range(dim))
     result.completed_indices = sorted(completed)
     return result
 

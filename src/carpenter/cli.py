@@ -4,7 +4,9 @@ File conventions: diagonal specs read as JSON (a spec object or a bare list)
 or CSV (flat list of numbers); matrices write as CSV with one row per line,
 comma-separated, 17 significant digits, which round-trips doubles exactly.
 Exit codes: 0 success or feasible, 2 provably infeasible (report still
-emitted) or failed verification, 1 malformed input.
+emitted), failed verification, or a failed internal check (an invariant
+break or a stream that runs out of terms, reported as ``error: ...``),
+1 malformed input.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2
 from .diagonal import DiagonalSpec, Verdict, classify
-from .tetris import completed_columns
+from .tetris import NeedsMoreTermsError, completed_columns
 from .verify import check_projection, necessity_oracle
 
 log = logging.getLogger(__name__)
@@ -30,30 +31,15 @@ class CliInputError(ValueError):
     """Bad arguments or file contents; reported to stderr with exit code 1."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    format: str | None = None
-    diagonal: str | None = None
-    mode: str = "exact"
-    epsilon: float = 1e-6
-    rows: int = 50
-    pipeline: str = "shortcut"
-    seed: int = 0
-    dim: int = 0
-    rank: int = 0
-    trials: int = 200
-
-    def __post_init__(self):
-        for path in (self.input, self.diagonal):
-            if path is not None and not os.path.isfile(path):
-                raise CliInputError(f"input file not found: {path}")
-        if self.output is not None:
-            parent = os.path.dirname(self.output) or "."
-            if not os.path.isdir(parent):
-                raise CliInputError(f"output directory not found: {parent}")
+def _check_paths(ns: argparse.Namespace) -> None:
+    """Input files must exist and the output directory too, before any work."""
+    for path in (getattr(ns, "input", None), getattr(ns, "diagonal", None)):
+        if path is not None and not os.path.isfile(path):
+            raise CliInputError(f"input file not found: {path}")
+    if ns.output is not None:
+        parent = os.path.dirname(ns.output) or "."
+        if not os.path.isdir(parent):
+            raise CliInputError(f"output directory not found: {parent}")
 
 
 # -- input parsing ---------------------------------------------------------
@@ -152,21 +138,21 @@ def _write_output(payload: str, path: str | None) -> None:
 # -- commands --------------------------------------------------------------
 
 
-def _cmd_classify(cfg: CliConfig) -> int:
-    report = classify(_load_spec(cfg.input, cfg.format))
-    _write_output(json.dumps(report.to_json_dict(), indent=2) + "\n", cfg.output)
+def _cmd_classify(ns: argparse.Namespace) -> int:
+    report = classify(_load_spec(ns.input, ns.format))
+    _write_output(json.dumps(report.to_json_dict(), indent=2) + "\n", ns.output)
     return 2 if report.verdict is Verdict.INFEASIBLE else 0
 
 
-def _cmd_build(cfg: CliConfig) -> int:
-    spec = _load_spec(cfg.input, cfg.format)
+def _cmd_build(ns: argparse.Namespace) -> int:
+    spec = _load_spec(ns.input, ns.format)
     options = BuildOptions(
-        mode=cfg.mode, epsilon=cfg.epsilon, truncation_rows=cfg.rows, pipeline=cfg.pipeline
+        mode=ns.mode, epsilon=ns.epsilon, truncation_rows=ns.rows, pipeline=ns.pipeline
     )
     try:
         result = build(spec, options)
     except InfeasibleDiagonalError as e:
-        _write_output(json.dumps(e.report.to_json_dict(), indent=2) + "\n", cfg.output)
+        _write_output(json.dumps(e.report.to_json_dict(), indent=2) + "\n", ns.output)
         return 2
     if result.matrix is None:
         raise CliInputError("--rows 0 leaves nothing to materialize; use the stream command")
@@ -183,19 +169,19 @@ def _cmd_build(cfg: CliConfig) -> int:
         sidecar["block_stride"] = result.block_stride
     if result.notices:
         sidecar["notices"] = result.notices
-    _write_output(_matrix_to_csv(result.matrix), cfg.output)
-    if cfg.output is not None:
-        _write_output(json.dumps(sidecar, indent=2) + "\n", cfg.output + ".report.json")
+    _write_output(_matrix_to_csv(result.matrix), ns.output)
+    if ns.output is not None:
+        _write_output(json.dumps(sidecar, indent=2) + "\n", ns.output + ".report.json")
     else:
         print(json.dumps(sidecar, indent=2), file=sys.stderr)
     return 0
 
 
-def _cmd_stream(cfg: CliConfig) -> int:
-    spec = _load_spec(cfg.input, cfg.format)
+def _cmd_stream(ns: argparse.Namespace) -> int:
+    spec = _load_spec(ns.input, ns.format)
     report = classify(spec)
     if report.verdict is Verdict.INFEASIBLE:
-        _write_output(json.dumps(report.to_json_dict(), indent=2) + "\n", cfg.output)
+        _write_output(json.dumps(report.to_json_dict(), indent=2) + "\n", ns.output)
         return 2
     if report.verdict is not Verdict.CASE_II:
         raise CliInputError("both defect sums are finite; use the build command")
@@ -206,7 +192,7 @@ def _cmd_stream(cfg: CliConfig) -> int:
             "use the build command for an assembled corner"
         )
     stream = plan.streams[0]
-    lines = [stream.next_row().to_json_line() for _ in range(cfg.rows)]
+    lines = [stream.next_row().to_json_line() for _ in range(ns.rows)]
     count, masses = completed_columns(stream)
     targets = stream.permuted_values(count)
     summary = {
@@ -216,35 +202,35 @@ def _cmd_stream(cfg: CliConfig) -> int:
         "trivial_ones": plan.trivial_ones,
         "trivial_zeros": plan.trivial_zeros,
     }
-    _write_output("\n".join(lines + [json.dumps(summary)]) + "\n", cfg.output)
+    _write_output("\n".join(lines + [json.dumps(summary)]) + "\n", ns.output)
     return 0
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
-    P = _load_matrix(cfg.input, cfg.format)
-    spec = _load_spec(cfg.diagonal, None)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    P = _load_matrix(ns.input, ns.format)
+    spec = _load_spec(ns.diagonal, None)
     if not spec.is_finite:
-        raise CliInputError(f"{cfg.diagonal}: verify needs a finite diagonal")
+        raise CliInputError(f"{ns.diagonal}: verify needs a finite diagonal")
     try:
         rep = check_projection(P, list(spec.prefix))
     except ValueError as e:
         raise CliInputError(str(e)) from e
-    _write_output(rep.to_json() + "\n", cfg.output)
+    _write_output(rep.to_json() + "\n", ns.output)
     return 0 if rep.all_pass else 2
 
 
-def _cmd_oracle(cfg: CliConfig) -> int:
-    if not 0 < cfg.rank < cfg.dim:
-        raise CliInputError(f"need 0 < rank < dim, got rank={cfg.rank}, dim={cfg.dim}")
-    ok = necessity_oracle(cfg.dim, cfg.rank, cfg.trials, cfg.seed)
+def _cmd_oracle(ns: argparse.Namespace) -> int:
+    if not 0 < ns.rank < ns.dim:
+        raise CliInputError(f"need 0 < rank < dim, got rank={ns.rank}, dim={ns.dim}")
+    ok = necessity_oracle(ns.dim, ns.rank, ns.trials, ns.seed)
     out = {
-        "dim": cfg.dim,
-        "rank": cfg.rank,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
+        "dim": ns.dim,
+        "rank": ns.rank,
+        "trials": ns.trials,
+        "seed": ns.seed,
         "all_integral": ok,
     }
-    _write_output(json.dumps(out, indent=2) + "\n", cfg.output)
+    _write_output(json.dumps(out, indent=2) + "\n", ns.output)
     return 0 if ok else 2
 
 
@@ -324,14 +310,14 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         ns = _build_parser().parse_args(argv)
-        cfg = CliConfig(**vars(ns))
-        return _DISPATCH[cfg.command](cfg)
-    except CliInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        _check_paths(ns)
+        return _DISPATCH[ns.command](ns)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (AssertionError, NeedsMoreTermsError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def app() -> None:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import zeta
 
 # Tolerance for the a - b integrality decision.
 INTEGRALITY_TOL = 1e-9
@@ -241,12 +240,10 @@ def tail_sums(spec: DiagonalSpec) -> TailSums:
     b_part = _power_band_sum(tail, i_one + 1, i_half) if i_half > i_one else 0.0
     if tail.p <= 1.0:
         return TailSums(math.inf, b_part)
+    from scipy.special import zeta  # costs ~0.3 s, so only power tails pay it
+
     a_part = tail.c * float(zeta(tail.p, i_half + 1))
     return TailSums(a_part, b_part)
-
-
-def _power_ones_count(tail: PowerTail) -> int:
-    return _power_boundary(tail, 1.0)
 
 
 def classify(spec: DiagonalSpec) -> KadisonReport:
@@ -265,7 +262,7 @@ def classify(spec: DiagonalSpec) -> KadisonReport:
         elif spec.tail.c == 1.0:
             num_ones = math.inf
     elif isinstance(spec.tail, PowerTail):
-        num_ones += _power_ones_count(spec.tail)
+        num_ones += _power_boundary(spec.tail, 1.0)
 
     if math.isinf(a) or math.isinf(b):
         verdict = Verdict.CASE_II
@@ -273,34 +270,6 @@ def classify(spec: DiagonalSpec) -> KadisonReport:
         diff = a - b
         verdict = Verdict.CASE_I if abs(diff - round(diff)) <= INTEGRALITY_TOL else Verdict.INFEASIBLE
     return KadisonReport(a=a, b=b, num_zeros=num_zeros, num_ones=num_ones, verdict=verdict)
-
-
-def strip_trivial(spec: DiagonalSpec) -> tuple[DiagonalSpec, float, float]:
-    """Remove exact 0 and 1 entries, returning (core, num_zeros, num_ones).
-
-    The core keeps the relative order of the surviving prefix entries. A
-    constant-0 or constant-1 tail is dropped (its count is infinite); any other
-    tail is kept and must contain no exact 0/1 values, otherwise the input is
-    rejected because the tail descriptor cannot express the stripped sequence.
-    """
-    core_prefix = tuple(x for x in spec.prefix if 0.0 < x < 1.0)
-    num_zeros: float = sum(1 for x in spec.prefix if x == 0.0)
-    num_ones: float = sum(1 for x in spec.prefix if x == 1.0)
-    tail = spec.tail
-    if tail is None:
-        return DiagonalSpec(core_prefix), num_zeros, num_ones
-    if isinstance(tail, ConstantTail):
-        if tail.c == 0.0:
-            return DiagonalSpec(core_prefix), math.inf, num_ones
-        if tail.c == 1.0:
-            return DiagonalSpec(core_prefix), num_zeros, math.inf
-        return DiagonalSpec(core_prefix, tail), num_zeros, num_ones
-    if tail.value(1) >= 1.0:
-        raise ValueError(
-            "power tail contains capped entries equal to 1; "
-            "strip_trivial cannot represent the remainder as a tail"
-        )
-    return DiagonalSpec(core_prefix, tail), num_zeros, num_ones
 
 
 def complement_spec(spec: DiagonalSpec) -> DiagonalSpec:

@@ -10,9 +10,12 @@ do not hit the interpreter recursion limit.
 
 The single-entry bump (all compensation placed on the last head entry) can
 overshoot the head's majorization budget; see the note inside
-``_plan_peels``. When that happens the compensation is spread greedily over
-several head entries instead, and the repair becomes a short chain of
-targeted rotations; both paths record their rotations in a
+``_plan_peels``. A single bump is repaired by a convex-mix rotation, known
+when the peel is planned, so it is planned as a :class:`~carpenter.moves.Move`.
+When the bump overshoots, the compensation is spread greedily over several
+head entries instead, and the repair becomes a short chain of targeted
+rotations (``moves.rotate_to``), whose angles depend on the matrix at repair
+time. Both kinds of repair are recorded as Moves in one
 :class:`~carpenter.moves.MovePlan`.
 """
 
@@ -23,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .givens import rotate_pair_inplace
-from .moves import Move, MovePlan, _solve_rotation_angle
+from .moves import Move, MovePlan, rotate_to
 
 MAJORIZATION_TOL = 1e-10
-RANK_ONE_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,50 +70,6 @@ class MajorizationInput:
         if abs(total_d - total_l) > MAJORIZATION_TOL:
             return f"total mismatch: sum(diag)={total_d} vs sum(lambdas)={total_l}"
         return None
-
-
-def check_majorization(inp: MajorizationInput) -> bool:
-    """True iff the sorted diagonal is majorized by the sorted eigenvalues."""
-    return inp.first_violation() is None
-
-
-def rank_one(diag, lam: float) -> np.ndarray:
-    """Rank-one symmetric matrix S[i][j] = sqrt(d_i * d_j) with diagonal ``diag``.
-
-    Requires sum(diag) = lam (the single nonzero eigenvalue) within
-    ``RANK_ONE_SUM_TOL``. The diagonal is written back explicitly so it is
-    exact even when sqrt(d)**2 rounds.
-    """
-    d = np.asarray([float(x) for x in diag], dtype=float)
-    if d.size == 0 or not np.any(d):
-        raise ValueError("rank_one needs at least one nonzero diagonal entry")
-    if np.any(d < -1e-12):
-        raise ValueError("rank_one diagonal entries must be nonnegative")
-    total = math.fsum(d.tolist())
-    if abs(total - lam) > RANK_ONE_SUM_TOL:
-        raise ValueError(f"diagonal sums to {total}, expected eigenvalue {lam}")
-    r = np.sqrt(np.clip(d, 0.0, None))
-    S = np.outer(r, r)
-    np.fill_diagonal(S, d)
-    return S
-
-
-def convex_mix_unitary(E: np.ndarray, i: int, j: int, alpha: float) -> np.ndarray:
-    """Mix diagonal entries i and j of ``E`` by the rotation with cos^2 = alpha.
-
-    Requires E[i][j] = 0 (use rotate_to_diagonal otherwise). The new diagonal
-    entries are (alpha*E_ii + (1-alpha)*E_jj, (1-alpha)*E_ii + alpha*E_jj) and
-    the spectrum is unchanged.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha} outside [0, 1]")
-    if abs(E[i, j]) > 1e-12:
-        raise ValueError(
-            f"E[{i}][{j}]={E[i, j]} is not zero; use moves.rotate_to_diagonal instead"
-        )
-    out = np.array(E, dtype=float)
-    rotate_pair_inplace(out, i, j, math.sqrt(alpha), -math.sqrt(1.0 - alpha))
-    return out
 
 
 def _prefix_majorized(vals_desc, lams_desc, tol: float) -> bool:
@@ -177,11 +134,12 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     own majorization: with diag = (0.8,)*5 against eigenvalues (1, 1, 1, 1)
     the bumped head (0.8, 0.8, 1.4) would need spectrum (1, 1, 1), which
     forces the identity matrix. The single bump is used whenever it stays
-    majorized; otherwise the mass is spread with ``_waterfall`` and repaired
-    by one rotation per touched entry.
+    majorized, repaired by one convex-mix Move; otherwise the mass is spread
+    with ``_waterfall`` and repaired by one targeted rotation per touched
+    entry, planned as an (i, j, target) triple.
     """
     blocks: list[tuple[list[float], list[int]]] = []
-    peel_repairs: list[list[tuple]] = []
+    peel_repairs: list[list[Move | tuple[int, int, float]]] = []
     r = len(lam_desc)
     while r >= 2:
         lam_r = lam_desc[r - 1]
@@ -213,7 +171,8 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
                 dt_ = vals[m0 - 1]
                 den = dh - dt_ + 2.0 * delta
                 alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (dh - dt_ + delta) / den))
-                peel_repairs.append([("mix", head_idx[-1], seg_idx[0], alpha)])
+                mix = Move(head_idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
+                peel_repairs.append([mix])
             else:
                 peel_repairs.append([])
             cand_idx = head_idx[:-1]
@@ -222,7 +181,7 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
         else:
             x = _waterfall(head_vals, lam_head, delta)
             repairs = [
-                ("rot", head_idx[t_], seg_idx[0], head_vals[t_])
+                (head_idx[t_], seg_idx[0], head_vals[t_])
                 for t_ in range(len(head_vals))
                 if x[t_] - head_vals[t_] > 1e-14
             ]
@@ -258,15 +217,11 @@ def horn_build(inp: MajorizationInput, return_plan: bool = False):
     plan = MovePlan()
     for repairs in reversed(peel_repairs):
         for rec in repairs:
-            if rec[0] == "mix":
-                _, i, j, alpha = rec
-                rotate_pair_inplace(S, i, j, math.sqrt(alpha), -math.sqrt(1.0 - alpha))
-                plan.append(Move(i, j, "convex_mix", alpha))
+            if isinstance(rec, Move):
+                rec.apply_inplace(S)
+                plan.append(rec)
             else:
-                _, i, j, target = rec
-                theta = _solve_rotation_angle(S[i, i], S[j, j], S[i, j], target)
-                rotate_pair_inplace(S, i, j, math.cos(theta), math.sin(theta))
-                plan.append(Move(i, j, "general_rotation", theta))
+                plan.append(rotate_to(S, *rec))
     if return_plan:
         return S, start, plan
     return S

@@ -1,12 +1,16 @@
-"""Diagonal surgery: shift mass between entries, then repair with rotations.
+"""Plane rotations, and diagonal surgery repaired by them.
+
+Every spectrum-preserving step in the package is one record, a :class:`Move`
+(i, j, c, s): conjugation by the plane rotation on coordinates i and j with
+cosine c and sine s, applied by ``rotate_pair_inplace``. ``rotate_to`` picks
+the rotation that lands the (i, i) entry on a target, applies it and returns
+its Move; a :class:`MovePlan` lists Moves in order and replays them bitwise.
 
 ``ops_shift`` edits a diagonal sequence directly, moving a prescribed amount
 of mass off a low block (toward 0) and onto a high block (toward 1).
 ``ops_restore`` undoes such an edit on an operator level: given a symmetric
-matrix whose diagonal is the shifted sequence, it applies two-coordinate
-rotations (spectrum preserving) until the original diagonal reappears.
-Every rotation is recorded in a :class:`MovePlan` so a run can be audited and
-replayed.
+matrix whose diagonal is the shifted sequence, it applies targeted rotations
+until the original diagonal reappears, and returns them as a MovePlan.
 """
 
 from __future__ import annotations
@@ -17,12 +21,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .givens import rotate_pair_inplace
-
 # Contract tolerances.
 TARGET_TOL = 1e-11      # achieved diagonal entry after a targeted rotation
 SHIFT_BUDGET_TOL = 1e-9  # consistency of requested transfer budgets
-REPLAY_TOL = 1e-12
+
+
+def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> None:
+    """Conjugate ``E`` in place by the plane rotation G on coordinates (i, j).
+
+    G maps e_i -> c*e_i + s*e_j and e_j -> -s*e_i + c*e_j, and the update is
+    E <- G^T E G. The new (i, i) entry is c^2*u + 2*c*s*w + s^2*v where
+    u = E[i, i], v = E[j, j], w = E[i, j]. After the row/column update the
+    (i, j)/(j, i) pair is mirrored so the matrix stays exactly symmetric;
+    every other off-diagonal pair already agrees bitwise because both sides
+    are computed by the same two-term combination.
+    """
+    ri = c * E[i, :] + s * E[j, :]
+    rj = -s * E[i, :] + c * E[j, :]
+    E[i, :] = ri
+    E[j, :] = rj
+    ci = c * E[:, i] + s * E[:, j]
+    cj = -s * E[:, i] + c * E[:, j]
+    E[:, i] = ci
+    E[:, j] = cj
+    E[j, i] = E[i, j]
 
 
 @dataclass(frozen=True)
@@ -97,21 +119,15 @@ def ops_shift(req: OpsRequest) -> list[float]:
 
 @dataclass(frozen=True)
 class Move:
+    """The plane rotation on coordinates (i, j) with cosine c and sine s."""
+
     i: int
     j: int
-    kind: str  # "convex_mix" or "general_rotation"
-    parameter: float
+    c: float
+    s: float
 
     def apply_inplace(self, E: np.ndarray) -> None:
-        if self.kind == "convex_mix":
-            c = math.sqrt(self.parameter)
-            s = -math.sqrt(1.0 - self.parameter)
-        elif self.kind == "general_rotation":
-            c = math.cos(self.parameter)
-            s = math.sin(self.parameter)
-        else:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        rotate_pair_inplace(E, self.i, self.j, c, s)
+        rotate_pair_inplace(E, self.i, self.j, self.c, self.s)
 
 
 @dataclass
@@ -134,7 +150,7 @@ class MovePlan:
 
     def to_json_lines(self) -> str:
         return "\n".join(
-            json.dumps({"i": m.i, "j": m.j, "kind": m.kind, "parameter": m.parameter})
+            json.dumps({"i": m.i, "j": m.j, "c": m.c, "s": m.s})
             for m in self.moves
         )
 
@@ -146,7 +162,7 @@ class MovePlan:
             if not line:
                 continue
             rec = json.loads(line)
-            plan.append(Move(int(rec["i"]), int(rec["j"]), str(rec["kind"]), float(rec["parameter"])))
+            plan.append(Move(int(rec["i"]), int(rec["j"]), float(rec["c"]), float(rec["s"])))
         return plan
 
 
@@ -182,21 +198,19 @@ def _solve_rotation_angle(u: float, v: float, w: float, target: float) -> float:
     return cand[0]
 
 
-def rotate_to_diagonal(E: np.ndarray, i: int, j: int, target_ii: float) -> tuple[np.ndarray, float]:
-    """Rotate coordinates (i, j) so the (i, i) entry lands on ``target_ii``.
+def rotate_to(E: np.ndarray, i: int, j: int, target: float) -> Move:
+    """Rotate coordinates (i, j) of ``E`` in place so the (i, i) entry lands
+    on ``target``, and return the rotation as a Move.
 
-    Returns a new matrix and the rotation angle. The spectrum is unchanged and
-    only rows/columns i and j are affected; the (j, j) entry moves to
-    E[i, i] + E[j, j] - target_ii because the trace of the 2x2 block is fixed.
+    The spectrum is unchanged and only rows/columns i and j are affected; the
+    (j, j) entry moves to E[i, i] + E[j, j] - target because the trace of the
+    2x2 block is fixed. Raises ValueError when ``target`` lies outside the
+    block's eigenvalue interval.
     """
-    theta = _solve_rotation_angle(E[i, i], E[j, j], E[i, j], target_ii)
-    out = np.array(E, dtype=float)
-    rotate_pair_inplace(out, i, j, math.cos(theta), math.sin(theta))
-    if abs(out[i, i] - target_ii) > TARGET_TOL:
-        raise AssertionError(
-            f"rotation missed its target: got {out[i, i]}, wanted {target_ii}"
-        )
-    return out, theta
+    theta = _solve_rotation_angle(E[i, i], E[j, j], E[i, j], target)
+    move = Move(i, j, math.cos(theta), math.sin(theta))
+    move.apply_inplace(E)
+    return move
 
 
 def ops_restore(
@@ -244,9 +258,7 @@ def ops_restore(
         kj, eps = surpluses[b]
         t = min(delta, eps)
         if t > 1e-14:
-            theta = _solve_rotation_angle(E[ki, ki], E[kj, kj], E[ki, kj], E[ki, ki] + t)
-            rotate_pair_inplace(E, ki, kj, math.cos(theta), math.sin(theta))
-            plan.append(Move(ki, kj, "general_rotation", theta))
+            plan.append(rotate_to(E, ki, kj, E[ki, ki] + t))
         delta -= t
         eps -= t
         if delta <= 1e-14:

@@ -346,28 +346,6 @@ class TetrisStream:
         return row
 
 
-def reorder(source, upto: int):
-    """Permutation prefix and thresholds ({m_n}, {k_n}) for rows 1..upto.
-
-    ``source`` is a DiagonalSpec, pair iterable, or an existing TetrisStream
-    (which is then advanced in place). Returns (labels, m, k) where labels
-    lists the original positions of the permuted prefix covering m_upto terms.
-    """
-    stream = source if isinstance(source, TetrisStream) else TetrisStream(source)
-    stream._ensure_rows(upto)
-    labels = [stream._labels[p] for p in stream.pi]
-    return labels, list(stream.m[:upto]), list(stream.k[:upto])
-
-
-def sigma_n(stream: TetrisStream, n: int) -> float:
-    stream._ensure_rows(n)
-    return stream.sigma[n - 1]
-
-
-def next_row(stream: TetrisStream) -> SparseRow:
-    return stream.next_row()
-
-
 def completed_columns(stream: TetrisStream):
     """Count and squared norms of columns no future row will touch.
 

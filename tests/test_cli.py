@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import carpenter
-from carpenter import build
+import carpenter.cli
+from carpenter import NeedsMoreTermsError, build
 from carpenter.cli import main
 
 
@@ -166,6 +167,22 @@ def test_log_env_var_is_tolerated(tmp_path, capsys, monkeypatch):
     f = write(tmp_path, "d.json", "[1.0]")
     assert main(["classify", "--input", f]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [AssertionError("sigma bounds violated at n=3"), NeedsMoreTermsError("source exhausted after 2 terms")],
+)
+def test_failed_internal_check_exits_two(tmp_path, capsys, monkeypatch, exc):
+    def fail(ns):
+        raise exc
+
+    monkeypatch.setitem(carpenter.cli._DISPATCH, "stream", fail)
+    f = write(tmp_path, "d.json", "[0.5, 0.5]")
+    assert main(["stream", "--input", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc}\n"
+    assert captured.out == ""
 
 
 def run_declared_script(*args):

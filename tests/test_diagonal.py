@@ -1,8 +1,11 @@
-"""Classification of diagonals: defect sums, tail arithmetic, stripping."""
+"""Classification of diagonals: defect sums and tail arithmetic."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from carpenter import (
     Verdict,
     classify,
     complement_spec,
-    strip_trivial,
     tail_sums,
 )
 
@@ -150,22 +152,6 @@ def test_report_json_encodes_infinities():
     assert json.loads(json.dumps(d))["verdict"] == "case_ii"
 
 
-def test_strip_trivial_examples():
-    core, zeros, ones = strip_trivial(DiagonalSpec((0.0, 0.5, 1.0, 0.5)))
-    assert core == DiagonalSpec((0.5, 0.5)) and zeros == 1 and ones == 1
-    core, zeros, ones = strip_trivial(DiagonalSpec((0.3, 0.7)))
-    assert core == DiagonalSpec((0.3, 0.7)) and zeros == 0 and ones == 0
-    core, zeros, ones = strip_trivial(DiagonalSpec((0.0, 0.0, 0.0)))
-    assert core.prefix == () and zeros == 3 and ones == 0
-
-
-def test_strip_trivial_tails():
-    core, zeros, ones = strip_trivial(DiagonalSpec((1.0, 0.4), ConstantTail(0.0)))
-    assert core == DiagonalSpec((0.4,)) and math.isinf(zeros) and ones == 1
-    with pytest.raises(ValueError):
-        strip_trivial(DiagonalSpec((), PowerTail(2.0, 2.0)))  # value(1) caps at 1
-
-
 def test_complement_spec():
     spec = DiagonalSpec((0.3, 0.7), ConstantTail(0.4))
     comp = complement_spec(spec)
@@ -183,3 +169,16 @@ def test_complement_swaps_defect_sums():
     assert crep.b == pytest.approx(rep.a, abs=1e-12)
     # with halves the verdict still carries over
     assert classify(complement_spec(DiagonalSpec((0.5, 0.5)))).verdict is Verdict.CASE_I
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 0.3 s at import; only power tails need zeta
+    import carpenter
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(carpenter.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, carpenter, carpenter.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

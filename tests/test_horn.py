@@ -1,17 +1,12 @@
 """Finite construction from prescribed spectrum and diagonal."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from carpenter import (
-    MajorizationInput,
-    check_majorization,
-    convex_mix_unitary,
-    horn_build,
-    rank_one,
-)
+from carpenter import MajorizationInput, Move, horn_build
 
 
 def random_majorization_input(rng, n_max=20, m_max=60):
@@ -38,9 +33,9 @@ def random_majorization_input(rng, n_max=20, m_max=60):
 
 
 def test_check_majorization_examples():
-    assert check_majorization(MajorizationInput((1.0, 1.0), (2 / 3, 2 / 3, 2 / 3)))
-    assert check_majorization(MajorizationInput((1.0,), (1.0,)))
-    assert not check_majorization(MajorizationInput((1.0,), (0.6, 0.6)))
+    assert MajorizationInput((1.0, 1.0), (2 / 3, 2 / 3, 2 / 3)).first_violation() is None
+    assert MajorizationInput((1.0,), (1.0,)).first_violation() is None
+    assert MajorizationInput((1.0,), (0.6, 0.6)).first_violation() is not None
 
 
 def test_first_violation_names_the_problem():
@@ -51,44 +46,24 @@ def test_first_violation_names_the_problem():
         horn_build(bad)
 
 
-def test_rank_one_examples():
-    S = rank_one((0.5, 0.5), 1.0)
-    assert np.allclose(S, 0.5, atol=1e-15)
-    assert S[0, 0] == 0.5 and S[1, 1] == 0.5
-    assert np.array_equal(rank_one((1.0,), 1.0), np.array([[1.0]]))
-    S = rank_one((0.25, 0.25, 0.5), 1.0)
-    assert S[0][2] == math.sqrt(0.125)
-    # rank-one sanity: eigenvalues (lambda, 0, 0)
-    w = np.linalg.eigvalsh(S)
-    assert np.allclose(np.sort(w), [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_rank_one_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rank_one((0.5, 0.4), 1.0)  # sums to 0.9, not 1
-    with pytest.raises(ValueError):
-        rank_one((0.0, 0.0), 0.0)
+def convex_mix(E, i, j, alpha):
+    """E rotated by the convex-mix Move that horn_build plans for a single bump."""
+    out = np.array(E, dtype=float)
+    Move(i, j, math.sqrt(alpha), -math.sqrt(1.0 - alpha)).apply_inplace(out)
+    return out
 
 
 def test_convex_mix_examples():
     E = np.diag([1.0, 0.0])
-    out = convex_mix_unitary(E, 0, 1, 0.5)
+    out = convex_mix(E, 0, 1, 0.5)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert out[1, 1] == pytest.approx(0.5, abs=1e-15)
     assert abs(out[0, 1]) == pytest.approx(0.5, abs=1e-15)
 
-    assert np.array_equal(convex_mix_unitary(E, 0, 1, 1.0), E)
+    assert np.array_equal(convex_mix(E, 0, 1, 1.0), E)
 
-    out = convex_mix_unitary(np.diag([1.0, 1 / 3]), 0, 1, 0.5)
+    out = convex_mix(np.diag([1.0, 1 / 3]), 0, 1, 0.5)
     assert np.allclose(np.diag(out), [2 / 3, 2 / 3], atol=1e-15)
-
-
-def test_convex_mix_rejects_coupled_coordinates():
-    E = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        convex_mix_unitary(E, 0, 1, 0.5)
-    with pytest.raises(ValueError):
-        convex_mix_unitary(np.diag([1.0, 0.0]), 0, 1, 1.5)
 
 
 def test_horn_build_rank_two_constant_diagonal():
@@ -97,9 +72,10 @@ def test_horn_build_rank_two_constant_diagonal():
     assert np.allclose(np.diag(S), 2 / 3, atol=1e-12)
     assert np.max(np.abs(S @ S - S)) <= 1e-12
     assert np.allclose(np.sort(np.linalg.eigvalsh(S)), [0.0, 1.0, 1.0], atol=1e-9)
-    # the single peel repairs with the balanced mix from the worked run
-    mixes = [m for m in plan.moves if m.kind == "convex_mix"]
-    assert len(mixes) == 1 and mixes[0].parameter == pytest.approx(0.5, abs=1e-12)
+    # the single peel repairs with the balanced mix from the worked run:
+    # cos^2 = alpha = 1/2
+    assert len(plan) == 1
+    assert plan.moves[0].c ** 2 == pytest.approx(0.5, abs=1e-12)
     # replay is bitwise: the plan records exactly the applied rotations
     assert np.array_equal(plan.replay(start), S)
 
@@ -149,3 +125,29 @@ def test_horn_build_replay_matches():
         inp = random_majorization_input(rng, n_max=8, m_max=24)
         S, start, plan = horn_build(inp, return_plan=True)
         assert np.max(np.abs(plan.replay(start) - S)) <= 1e-12
+
+
+# sha256 of S.tobytes() and of plan.replay(start).tobytes(), recorded before
+# the repair records became Moves (kind/parameter pairs then). Cases 0-5 come
+# from random_majorization_input(default_rng(7), n_max=8, m_max=24); case 0
+# plans both kinds of repair, case 4 none. "heavy" is the waterfall input of
+# test_horn_build_heavy_head.
+HORN_DIGESTS = {
+    0: "56b954680a70dcd8fbfb821cd66c8c4019600adf7889d234548475dc6de9ac84",
+    1: "d0e742ab4cb5d6ffdbbd4c71e758b9ec0169545c9a648d526f34fa2fdb218ac2",
+    2: "80f82330a8475a74740310336656657d063c2178c300292e43be44c884290e8c",
+    3: "c2b8f4fc6c190f5eac43a8b443f99e8cba1a1e764a6b158a5f0f814e5c6bc96b",
+    4: "2f997d4533a15257f1a1d19086498014cc80aa01a942390cc24cedcb9d68af0c",
+    5: "b369e8cf8857c44c96e5c49af996b6aeea9c209cf295a4b974e0fac553fa4154",
+    "heavy": "81ca27c8e767e3c4a343807374ce491610dee4d22ffddd1c15927583aed744a9",
+}
+
+
+def test_horn_build_bit_identical():
+    rng = np.random.default_rng(7)
+    cases = {t: random_majorization_input(rng, n_max=8, m_max=24) for t in range(6)}
+    cases["heavy"] = MajorizationInput((1.0,) * 4, (0.8,) * 5)
+    for key, inp in cases.items():
+        S, start, plan = horn_build(inp, return_plan=True)
+        assert hashlib.sha256(S.tobytes()).hexdigest() == HORN_DIGESTS[key], key
+        assert hashlib.sha256(plan.replay(start).tobytes()).hexdigest() == HORN_DIGESTS[key], key

@@ -1,5 +1,6 @@
 """Sequence surgery and the rotations that undo it on a matrix."""
 
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from carpenter import (
     DiagonalSpec,
     ops_restore,
     ops_shift,
-    rotate_to_diagonal,
 )
+from carpenter.moves import rotate_to
 
 
 def test_ops_request_validation():
@@ -78,24 +79,31 @@ def test_ops_shift_defect_sum_bookkeeping():
 
 
 def test_rotate_to_diagonal_examples():
-    E = np.diag([0.0, 1.0])
-    out, theta = rotate_to_diagonal(E, 0, 1, 0.5)
-    assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+    # rotate_to works in place and returns the Move it applied
+    out = np.diag([0.0, 1.0])
+    move = rotate_to(out, 0, 1, 0.5)
+    assert (move.i, move.j) == (0, 1)
+    assert math.atan2(move.s, move.c) == pytest.approx(math.pi / 4, abs=1e-12)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert out[1, 1] == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(MovePlan([move]).replay(np.diag([0.0, 1.0])), out)
 
-    out, theta = rotate_to_diagonal(E, 0, 1, 0.0)
-    assert theta == 0.0 and np.array_equal(out, E)
+    E = np.diag([0.0, 1.0])
+    move = rotate_to(E, 0, 1, 0.0)
+    assert (move.c, move.s) == (1.0, 0.0) and np.array_equal(E, np.diag([0.0, 1.0]))
 
-    out, theta = rotate_to_diagonal(np.full((2, 2), 0.5), 0, 1, 1.0)
-    assert abs(theta) == pytest.approx(math.pi / 4, abs=1e-12)
+    out = np.full((2, 2), 0.5)
+    move = rotate_to(out, 0, 1, 1.0)
+    assert abs(math.atan2(move.s, move.c)) == pytest.approx(math.pi / 4, abs=1e-12)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_rotate_to_diagonal_rejects_unreachable_target():
+    E = np.diag([0.0, 1.0])
     with pytest.raises(ValueError) as exc:
-        rotate_to_diagonal(np.diag([0.0, 1.0]), 0, 1, 1.5)
+        rotate_to(E, 0, 1, 1.5)
     assert "[" in str(exc.value)  # interval is reported
+    assert np.array_equal(E, np.diag([0.0, 1.0]))  # untouched on failure
 
 
 def test_rotate_spectrum_preserved():
@@ -103,7 +111,8 @@ def test_rotate_spectrum_preserved():
     A = rng.standard_normal((4, 4))
     E = (A + A.T) / 2
     lo, hi = sorted((E[1, 1], E[2, 2]))
-    out, _ = rotate_to_diagonal(E, 1, 2, 0.7 * lo + 0.3 * hi)
+    out = np.array(E)
+    rotate_to(out, 1, 2, 0.7 * lo + 0.3 * hi)
     assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(E), atol=1e-12)
     untouched = [0, 3]
     assert np.allclose(np.diag(out)[untouched], np.diag(E)[untouched], atol=0)
@@ -142,14 +151,12 @@ def test_ops_restore_replay():
 
 def test_move_plan_serialization_round_trip():
     plan = MovePlan()
-    plan.append(Move(0, 2, "convex_mix", 0.5))
-    plan.append(Move(1, 3, "general_rotation", -0.7853981633974483))
-    again = MovePlan.from_json_lines(plan.to_json_lines())
+    plan.append(Move(0, 2, math.sqrt(0.5), -math.sqrt(0.5)))
+    theta = -0.7853981633974483
+    plan.append(Move(1, 3, math.cos(theta), math.sin(theta)))
+    text = plan.to_json_lines()
+    assert json.loads(text.splitlines()[0]) == {"i": 0, "j": 2, "c": math.sqrt(0.5), "s": -math.sqrt(0.5)}
+    again = MovePlan.from_json_lines(text)
     assert again.moves == plan.moves
     E = np.diag([0.9, 0.4, 0.3, 0.1])
     assert np.array_equal(plan.replay(E), again.replay(E))
-
-
-def test_unknown_move_kind_rejected():
-    with pytest.raises(ValueError):
-        Move(0, 1, "shear", 0.1).apply_inplace(np.eye(2))

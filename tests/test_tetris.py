@@ -16,10 +16,7 @@ from carpenter import (
     TetrisStream,
     check_rows,
     completed_columns,
-    next_row,
     projection_prefix,
-    reorder,
-    sigma_n,
     solve_a,
 )
 
@@ -30,23 +27,25 @@ def const_stream(c, head=None):
 
 
 def test_reorder_thresholds_constant_04():
-    labels, m, k = reorder(const_stream(0.4), 2)
-    assert m == [3, 5] and k == [3, 5]
-    assert labels[:5] == [0, 1, 2, 3, 4]  # ties keep source order
+    s = const_stream(0.4)
+    s.next_row()
+    s.next_row()
+    assert s.m == [3, 5] and s.k == [3, 5]
+    assert s.permuted_labels(5) == [0, 1, 2, 3, 4]  # ties keep source order
 
 
 def test_reorder_exact_halves():
-    labels, m, k = reorder(const_stream(0.5), 1)
-    assert m == [2] and k == [2]
+    s = const_stream(0.5)
+    s.next_row()
+    assert s.m == [2] and s.k == [2]
 
 
 def test_reorder_moves_big_entry_to_block_front():
     # block (0, m1] holds (0.2, 0.5, 0.4); descending sort inside the block
     source = itertools.chain([(0, 0.2), (1, 0.5), (2, 0.4)], ((i, 0.45) for i in itertools.count(3)))
     stream = TetrisStream(source)
-    labels, m, k = reorder(stream, 1)
-    assert m == [3] and k == [3]
-    assert labels[:3] == [1, 2, 0]
+    stream.next_row()
+    assert stream.m == [3] and stream.k == [3]
     assert stream.permuted_labels(3) == [1, 2, 0]
 
 
@@ -78,13 +77,17 @@ def test_solve_a_orthogonality_identity():
 
 def test_sigma_examples():
     s = const_stream(0.4)
-    assert sigma_n(s, 1) == pytest.approx(0.6, abs=1e-15)
-    assert sigma_n(s, 2) == pytest.approx(0.8, abs=1e-15)
-    assert sigma_n(const_stream(0.5), 1) == 1.0
+    s.next_row()
+    s.next_row()
+    assert s.sigma[0] == pytest.approx(0.6, abs=1e-15)
+    assert s.sigma[1] == pytest.approx(0.8, abs=1e-15)
+    s = const_stream(0.5)
+    s.next_row()
+    assert s.sigma == [1.0]
 
 
 def test_first_row_constant_04():
-    row = next_row(const_stream(0.4))
+    row = const_stream(0.4).next_row()
     assert row.n == 1 and row.support == (0, 2)
     expect = [math.sqrt(0.4), math.sqrt(0.3), -math.sqrt(0.3)]
     assert np.allclose(row.values, expect, atol=1e-15)
@@ -93,15 +96,15 @@ def test_first_row_constant_04():
 
 def test_second_row_constant_04():
     s = const_stream(0.4)
-    next_row(s)
-    row = next_row(s)
+    s.next_row()
+    row = s.next_row()
     assert row.support == (1, 4)
     expect = [math.sqrt(0.1), math.sqrt(0.1), math.sqrt(0.4), -math.sqrt(0.4)]
     assert np.allclose(row.values, expect, atol=1e-12)
 
 
 def test_first_row_constant_05():
-    row = next_row(const_stream(0.5))
+    row = const_stream(0.5).next_row()
     assert row.support == (0, 1)
     assert np.allclose(row.values, [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
 
@@ -110,8 +113,8 @@ def test_completed_columns_constant_04():
     s = const_stream(0.4)
     count, norms = completed_columns(s)
     assert count == 0 and norms.size == 0
-    next_row(s)
-    next_row(s)
+    s.next_row()
+    s.next_row()
     count, norms = completed_columns(s)
     assert count == 3
     assert np.allclose(norms, 0.4, atol=1e-12)
@@ -119,7 +122,7 @@ def test_completed_columns_constant_04():
 
 def test_completed_columns_empty_for_halves():
     s = const_stream(0.5)
-    next_row(s)
+    s.next_row()
     count, norms = completed_columns(s)
     assert count == 0 and norms.size == 0
 
@@ -138,11 +141,11 @@ def test_projection_prefix_small():
 def test_rows_orthonormal_families():
     for c in (0.1, 0.25, 0.4, 0.5):
         s = const_stream(c)
-        rows = [next_row(s) for _ in range(60)]
+        rows = [s.next_row() for _ in range(60)]
         assert check_rows(rows) <= 1e-11
     for head in (0.7, 0.9):
         s = const_stream(0.4, head=head)
-        rows = [next_row(s) for _ in range(60)]
+        rows = [s.next_row() for _ in range(60)]
         assert check_rows(rows) <= 1e-11
 
 
@@ -161,7 +164,7 @@ def test_threshold_sandwich_all_rows():
     for c, head in [(0.1, None), (0.5, None), (0.4, 0.7)]:
         s = const_stream(c, head=head)
         for _ in range(40):
-            next_row(s)
+            s.next_row()
         prev = 0
         for n, kn in enumerate(s.k, 1):
             assert prev + 2 <= kn <= s.m[n - 1]
@@ -170,16 +173,16 @@ def test_threshold_sandwich_all_rows():
 
 def test_source_validation():
     with pytest.raises(ValueError):
-        next_row(TetrisStream([(0, 0.4), (1, 0.8)]))  # later entry above 1/2
+        TetrisStream([(0, 0.4), (1, 0.8)]).next_row()  # later entry above 1/2
     # first entry may sit anywhere in [0, 1)
     s = TetrisStream(itertools.chain([(0, 0.95)], ((i, 0.3) for i in itertools.count(1))))
-    next_row(s)
+    s.next_row()
 
 
 def test_finite_source_exhausts():
     s = TetrisStream([(0, 0.4), (1, 0.4)])
     with pytest.raises(NeedsMoreTermsError):
-        next_row(s)
+        s.next_row()
 
 
 def test_sparse_row_serialization():
@@ -194,7 +197,7 @@ def test_needs_more_terms_cap():
     s = TetrisStream(((i, 0.4) for i in itertools.count()), max_terms=10)
     with pytest.raises(NeedsMoreTermsError):
         for _ in range(10):
-            next_row(s)
+            s.next_row()
 
 
 # sha256 over the rows' JSON lines (each followed by "\n"), recorded from the
@@ -243,14 +246,15 @@ def test_threshold_compares_rounded_sum():
     # reach 1; comparing the exact sum would take a fifth term
     s = const_stream(0.1, head=0.7)
     assert math.fsum([0.7, 0.1, 0.1, 0.1]) == 1.0
-    assert sigma_n(s, 1) == 0.20000000000000004
+    s.next_row()
+    assert s.sigma[0] == 0.20000000000000004
     assert s.k[0] == 4
 
 
 def test_permuted_values_follow_permuted_labels():
     source = itertools.chain([(0, 0.2), (1, 0.5), (2, 0.4)], ((i, 0.45) for i in itertools.count(3)))
     s = TetrisStream(source)
-    next_row(s)
+    s.next_row()
     assert s.permuted_values(3) == [0.5, 0.4, 0.2]
     with pytest.raises(ValueError):
         s.permuted_values(len(s.pi) + 1)
@@ -261,7 +265,7 @@ def test_long_stream_constant_01():
     # minutes here. Past row ~3600 the drift of float 0.1 != 1/10 pushes the
     # opening radicands across the snap tolerance; rows must stay orthogonal.
     s = const_stream(0.1)
-    rows = [next_row(s) for _ in range(10_000)]
+    rows = [s.next_row() for _ in range(10_000)]
     assert s.m[-1] == 100_000
     assert check_rows(rows) <= 1e-11
     count, norms = completed_columns(s)
