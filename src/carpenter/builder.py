@@ -30,9 +30,9 @@ from .diagonal import (
     KadisonReport,
     PowerTail,
     Verdict,
-    _power_boundary,
     classify,
     complement_spec,
+    power_boundary,
 )
 from .horn import MajorizationInput, horn_build
 from .moves import MovePlan, OpsRequest, ops_restore, ops_shift
@@ -277,7 +277,7 @@ def _build_power_approximate(
     tail = spec.tail
     assert isinstance(tail, PowerTail)
     eps = options.epsilon
-    cutoff = _power_boundary(tail, eps)
+    cutoff = power_boundary(tail, eps)
     dim = len(spec.prefix) + cutoff
     if dim > _APPROX_CORE_CAP:
         raise ValueError(

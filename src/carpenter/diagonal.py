@@ -26,7 +26,7 @@ import numpy as np
 
 # Tolerance for the a - b integrality decision.
 INTEGRALITY_TOL = 1e-9
-# Absolute accuracy contract for convergent tail sums.
+# Accuracy contract for convergent tail sums, relative to max(1, |sum|).
 TAIL_SUM_TOL = 1e-12
 
 # Largest index boundary we are willing to scan when a power tail spends a long
@@ -179,7 +179,7 @@ class TailSums(NamedTuple):
     sum_one_minus_above_half: float
 
 
-def _power_boundary(tail: PowerTail, threshold: float) -> int:
+def power_boundary(tail: PowerTail, threshold: float) -> int:
     """Largest tail index i with tail.value(i) >= threshold, 0 if none.
 
     Uses the same floating-point expression as ``value`` so the count is
@@ -219,8 +219,10 @@ def tail_sums(spec: DiagonalSpec) -> TailSums:
     """Contribution of the tail to the two Kadison sums.
 
     Returns (sum of tail entries < 1/2, sum of 1 - entry over tail entries
-    >= 1/2). Divergent sums come back as ``math.inf``; convergent ones are
-    accurate to ``TAIL_SUM_TOL``.
+    >= 1/2). Divergent sums come back as ``math.inf``; a convergent one is
+    within ``TAIL_SUM_TOL * max(1, |sum|)`` of the true sum. The bound is
+    relative because these sums reach 1e5 and more (c = 5e5, p = 1.2 gives
+    a = 2.5e5), where a few ulps already exceed 1e-12.
     """
     tail = spec.tail
     if tail is None:
@@ -235,8 +237,8 @@ def tail_sums(spec: DiagonalSpec) -> TailSums:
     # Power tail: finitely many entries sit at or above 1/2, so the b side is
     # always a finite band sum. The a side converges exactly when p > 1, where
     # it equals c times a Hurwitz zeta value.
-    i_half = _power_boundary(tail, 0.5)
-    i_one = _power_boundary(tail, 1.0)
+    i_half = power_boundary(tail, 0.5)
+    i_one = power_boundary(tail, 1.0)
     b_part = _power_band_sum(tail, i_one + 1, i_half) if i_half > i_one else 0.0
     if tail.p <= 1.0:
         return TailSums(math.inf, b_part)
@@ -262,7 +264,7 @@ def classify(spec: DiagonalSpec) -> KadisonReport:
         elif spec.tail.c == 1.0:
             num_ones = math.inf
     elif isinstance(spec.tail, PowerTail):
-        num_ones += _power_boundary(spec.tail, 1.0)
+        num_ones += power_boundary(spec.tail, 1.0)
 
     if math.isinf(a) or math.isinf(b):
         verdict = Verdict.CASE_II

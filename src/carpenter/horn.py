@@ -55,6 +55,8 @@ class MajorizationInput:
             return "no eigenvalues given"
         if len(d) < len(lam):
             return f"diagonal shorter ({len(d)}) than eigenvalue list ({len(lam)})"
+        if not all(math.isfinite(x) for x in lam + d):
+            return "eigenvalues and diagonal entries must be finite"
         if any(x <= 0.0 for x in lam):
             return "eigenvalues must be positive"
         if any(x < -1e-12 for x in d):
@@ -72,50 +74,57 @@ class MajorizationInput:
         return None
 
 
-def _prefix_majorized(vals_desc, lams_desc, tol: float) -> bool:
-    """Partial-sum test of sorted values against sorted eigenvalues (zero padded)."""
-    run_v = run_l = 0.0
-    for t, v in enumerate(vals_desc):
-        run_v += v
-        if t < len(lams_desc):
-            run_l += lams_desc[t]
-        if run_v > run_l + tol:
-            return False
-    return True
+def _padded(lam_run, length: int) -> np.ndarray:
+    """Eigenvalue running sums cut or held at their last value to ``length``
+    entries: the running sums of the zero-padded eigenvalue list."""
+    return lam_run[np.minimum(np.arange(length), len(lam_run) - 1)]
 
 
-def _waterfall(head, lams, delta: float) -> list[float]:
+def _prefix_majorized(vals_desc, lam_run, tol: float) -> bool:
+    """Partial-sum test of sorted values against eigenvalue running sums.
+
+    ``cumsum`` adds left to right, so every partial sum has the bits of a
+    Python running sum.
+    """
+    return not np.count_nonzero(vals_desc.cumsum() > _padded(lam_run, len(vals_desc)) + tol)
+
+
+def _waterfall(head, lam_run, delta: float) -> np.ndarray:
     """Spread ``delta`` of extra diagonal mass over ``head`` (sorted desc).
 
     Fills front to back, keeping the result sorted and every prefix within the
-    eigenvalue prefix sums. The cap at position t is the smallest slack over
-    position t and everything after it: later entries can only grow, so
-    filling a local brim that a downstream prefix cannot afford would strand
-    the surplus there. The last slack equals delta (totals match), so a full
-    absorption exists whenever the head's own prefix slacks are nonnegative,
-    which the peel recursion maintains.
+    eigenvalue prefix sums (``lam_run``). The cap at position t is the smallest
+    slack over position t and everything after it: later entries can only
+    grow, so filling a local brim that a downstream prefix cannot afford would
+    strand the surplus there. The last slack equals delta (totals match), so a
+    full absorption exists whenever the head's own prefix slacks are
+    nonnegative, which the peel recursion maintains.
     """
-    slack = []
-    lam_prefix = 0.0
-    d_prefix = 0.0
-    for t, dt in enumerate(head):
-        lam_prefix += lams[t] if t < len(lams) else 0.0
-        d_prefix += dt
-        slack.append(lam_prefix - d_prefix)
-    for t in range(len(slack) - 2, -1, -1):
-        slack[t] = min(slack[t], slack[t + 1])
+    slack = _padded(lam_run, len(head)) - head.cumsum()
+    slack = np.minimum.accumulate(slack[::-1])[::-1]
 
-    x: list[float] = []
+    # An entry without room takes add = 0.0 and becomes dt + 0.0. The others
+    # are filled one at a time, front to back: each fill changes the room of
+    # the next entry and the running total absorbed.
+    x = head + 0.0
     remaining = delta
     absorbed = 0.0
-    for t, dt in enumerate(head):
-        room = slack[t] - absorbed
+    t = 0
+    while t < len(head) and remaining != 0.0:
+        dt = float(head[t])
+        room = float(slack[t]) - absorbed
         if t > 0:
-            room = min(room, x[t - 1] - dt)
+            room = min(room, float(x[t - 1]) - dt)
         add = min(remaining, max(room, 0.0))
-        x.append(dt + add)
+        x[t] = dt + add
         absorbed += add
         remaining -= add
+        t += 1
+        if add == 0.0 and remaining > 0.0 and t < len(head):
+            # entries without room come in long runs: find the next entry
+            # with room in one test (a NaN room counts as room)
+            takes = ~(np.minimum(slack[t:] - absorbed, x[t - 1 : -1] - head[t:]) <= 0.0)
+            t += int(takes.argmax()) if takes.any() else len(takes)
     if remaining > 1e-9 * max(1.0, delta):
         raise AssertionError(
             f"could not absorb bump of {delta} into head (left over: {remaining})"
@@ -137,40 +146,49 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     majorized, repaired by one convex-mix Move; otherwise the mass is spread
     with ``_waterfall`` and repaired by one targeted rotation per touched
     entry, planned as an (i, j, target) triple.
+
+    The values live in one array and each peel's scans are numpy calls.
+    Every sum is a left-to-right running sum (``cumsum``), never numpy's
+    pairwise ``sum``, so each bit matches a scalar loop.
     """
-    blocks: list[tuple[list[float], list[int]]] = []
+    blocks: list[tuple[np.ndarray, list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
+    lam_run = np.cumsum(lam_desc)
+    vals = np.asarray(vals, dtype=float)
     r = len(lam_desc)
     while r >= 2:
         lam_r = lam_desc[r - 1]
         m = len(vals)
-        rev_cum = np.cumsum(vals[::-1])
-        t = int(np.searchsorted(rev_cum, lam_r, side="left"))
+        t = int(vals[::-1].cumsum().searchsorted(lam_r, side="left"))
         m0 = m - t  # 1-based index of the segment start
         m0 = max(r, min(m0, m))
-        delta = math.fsum(vals[m0 - 1 :]) - lam_r
-        delta = min(max(delta, 0.0), vals[m0 - 1])
+        first = float(vals[m0 - 1])
+        delta = math.fsum(vals[m0 - 1 :].tolist()) - lam_r
+        delta = min(max(delta, 0.0), first)
 
-        seg_vals = [vals[m0 - 1] - delta] + vals[m0:]
+        seg_vals = vals[m0 - 1 :].copy()
+        seg_vals[0] = first - delta
         seg_idx = idx[m0 - 1 :]
         blocks.append((seg_vals, seg_idx))
 
         head_vals = vals[: m0 - 1]
         head_idx = idx[: m0 - 1]
-        lam_head = lam_desc[: r - 1]
-        tol = 1e-12 * max(1.0, math.fsum(lam_head))
-        bump = head_vals[-1] + delta
-        pos = 0
-        while pos < len(head_vals) - 1 and head_vals[pos] >= bump:
-            pos += 1
-        candidate = head_vals[:-1]
-        candidate.insert(pos, bump)
-        if _prefix_majorized(candidate, lam_head, tol):
+        lam_run_head = lam_run[: r - 1]
+        tol = 1e-12 * max(1.0, math.fsum(lam_desc[: r - 1]))
+        last = float(head_vals[-1])
+        bump = last + delta
+        # the bump goes before the first earlier entry below it; the last
+        # slot, which the bump replaces, stands in when there is none
+        fits = head_vals >= bump
+        fits[-1] = False
+        pos = int(fits.argmin())
+        candidate = head_vals.copy()
+        candidate[pos + 1 :] = head_vals[pos:-1]
+        candidate[pos] = bump
+        if _prefix_majorized(candidate, lam_run_head, tol):
             if delta > 0.0:
-                dh = head_vals[-1]
-                dt_ = vals[m0 - 1]
-                den = dh - dt_ + 2.0 * delta
-                alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (dh - dt_ + delta) / den))
+                den = last - first + 2.0 * delta
+                alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (last - first + delta) / den))
                 mix = Move(head_idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
                 peel_repairs.append([mix])
             else:
@@ -179,13 +197,9 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
             cand_idx.insert(pos, head_idx[-1])
             vals, idx = candidate, cand_idx
         else:
-            x = _waterfall(head_vals, lam_head, delta)
-            repairs = [
-                (head_idx[t_], seg_idx[0], head_vals[t_])
-                for t_ in range(len(head_vals))
-                if x[t_] - head_vals[t_] > 1e-14
-            ]
-            peel_repairs.append(repairs)
+            x = _waterfall(head_vals, lam_run_head, delta)
+            touched = np.flatnonzero(x - head_vals > 1e-14).tolist()
+            peel_repairs.append([(head_idx[t_], seg_idx[0], float(head_vals[t_])) for t_ in touched])
             vals, idx = x, head_idx
         r -= 1
     blocks.append((vals, idx))

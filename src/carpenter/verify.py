@@ -53,8 +53,15 @@ class VerificationReport:
 
 def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> VerificationReport:
     """Max-norm defects of ``P`` against the projection axioms and the
-    target diagonal ``d``. Rank is estimated by counting eigenvalues
-    above 1/2, which is reliable once the idempotence defect is small.
+    target diagonal ``d``, plus the trace and a rank.
+
+    The rank is the number of eigenvalues above 1/2 of the symmetric matrix
+    that ``np.linalg.eigvalsh`` reads, the lower triangle of ``P``. When the
+    defects prove that every one of those eigenvalues lies within 1/(4n) of
+    0 or 1 (``_certified_rank``), that number is the rounded trace, and no
+    eigensolver runs: a passing build verifies in the time of one matrix
+    product. Otherwise (a perturbed, failing or non-finite matrix) the
+    eigenvalues are computed and counted.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -63,12 +70,50 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     target = np.asarray(list(d), dtype=float)
     if target.size != n:
         raise ValueError(f"diagonal length {target.size} does not match matrix size {n}")
-    sym = float(np.max(np.abs(P - P.T))) if n else 0.0
-    idem = float(np.max(np.abs(P @ P - P))) if n else 0.0
-    derr = float(np.max(np.abs(np.diagonal(P) - target))) if n else 0.0
+    if n == 0:
+        return VerificationReport(0.0, 0.0, 0.0, 0.0, 0, tol)
+    sym, skew_norm = _norms(P - P.T)
+    idem, defect_norm = _norms(P @ P - P)
+    derr = float(np.max(np.abs(np.diagonal(P) - target)))
     tr = float(np.trace(P))
-    rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5)) if n else 0
+    rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(float(np.vdot(P, P))))
+    if rank is None:
+        rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
     return VerificationReport(sym, idem, derr, tr, rank, tol)
+
+
+def _norms(M: np.ndarray) -> tuple[float, float]:
+    """Max-norm and Frobenius norm of ``M``."""
+    return float(np.max(np.abs(M))), math.sqrt(float(np.vdot(M, M)))
+
+
+def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_norm: float) -> int | None:
+    """``round(tr)`` when it provably counts the eigenvalues above 1/2, else None.
+
+    ``skew_norm``, ``defect_norm`` and ``p_norm`` are the Frobenius norms of
+    the computed P - P^T, P @ P - P and of P. Let A be the symmetric matrix
+    on P's lower triangle and E = A - P, so ||E||_2 <= e = skew_norm / sqrt(2)
+    and ||P||_2 <= f = p_norm. The
+    true P^2 - P differs from the computed product by at most gamma_n f^2 in
+    Frobenius norm (gamma_n = n u / (1 - n u), u the unit roundoff), and
+    A^2 - A = (P^2 - P) + PE + EP + E^2 - E, so every eigenvalue mu of A has
+
+        |mu^2 - mu| <= eps = defect_norm + gamma_n f^2 + e (2 f + e + 1).
+
+    With eps < 1/4 each mu lies within 2 eps of 0 or 1, so the trace (which
+    A shares with P) is within 2 n eps of the count above 1/2; the computed
+    trace is off by at most gamma_n sqrt(n) f more. Asking for 1/4 where 1/2
+    would do leaves room for the rounding of this bound itself and keeps
+    every eigenvalue 1/4 away from 1/2, far beyond eigvalsh's own error. A
+    NaN anywhere fails the comparison.
+    """
+    u = np.finfo(float).eps / 2.0
+    gamma = n * u / (1.0 - n * u)
+    e = skew_norm / math.sqrt(2.0)
+    eps = defect_norm + gamma * p_norm * p_norm + e * (2.0 * p_norm + e + 1.0)
+    if 2.0 * n * eps + gamma * math.sqrt(n) * p_norm <= 0.25:
+        return round(tr)
+    return None
 
 
 def check_rows(rows) -> float:

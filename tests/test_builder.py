@@ -1,6 +1,7 @@
 """Route selection and assembly for finite and infinite diagonals."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -312,6 +313,14 @@ BUILD_DIGESTS = {
     300: "21db17a0dd4eafc53b2d7b5350e3e2f725a975fd674cb652366b6b51c59383d0",
 }
 FULL_PIPELINE_DIGEST = "1b3aa5259df0fb360762d93a978850366d5607dee71481a15badc79a00a067ea"
+# n = 1000 from integer_sum_diagonal(default_rng(1000), 1000), where the peel
+# falls back to _waterfall dozens of times: sha256 of the matrix bytes and of
+# json.dumps(report.to_json_dict(), sort_keys=True), recorded before the peel
+# planner's scans moved to numpy and before the rank certificate.
+BUILD_1000_DIGESTS = (
+    "e9ecd5a77c58f17564d49327ce19c0fcba79821bb3a4aa2e6d4cb536c2fd4f40",
+    "e30e24f256c44b59348466e01647d5bcab3e4081094e14d9c92a959bf806da35",
+)
 
 
 def integer_sum_diagonal(rng, n):
@@ -331,3 +340,12 @@ def test_full_pipeline_bit_identical():
     # the frozen case-1 instance of test_case1_full_pipeline_frozen_instance
     res = build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
     assert hashlib.sha256(res.matrix.tobytes()).hexdigest() == FULL_PIPELINE_DIGEST
+
+
+def test_build_1000_bit_identical():
+    res = build(integer_sum_diagonal(np.random.default_rng(1000), 1000))
+    report = json.dumps(res.report.to_json_dict(), sort_keys=True)
+    assert (
+        hashlib.sha256(res.matrix.tobytes()).hexdigest(),
+        hashlib.sha256(report.encode()).hexdigest(),
+    ) == BUILD_1000_DIGESTS

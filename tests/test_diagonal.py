@@ -19,6 +19,7 @@ from carpenter import (
     complement_spec,
     tail_sums,
 )
+from carpenter.diagonal import TAIL_SUM_TOL
 
 
 def test_spec_validation():
@@ -76,6 +77,26 @@ def test_tail_sums_power_against_brute_force():
     a3, b3 = tail_sums(DiagonalSpec((), PowerTail(3.0, 2.0)))
     assert b3 == pytest.approx(0.25, abs=1e-15)
     assert partial3 + 3.0 / (n_terms + 1) - 1e-9 <= a3 <= partial3 + 3.0 / n_terms + 1e-9
+
+
+@pytest.mark.parametrize(
+    "c, p", [(1e4, 1.01), (5e5, 1.2), (0.4, 1.5), (50.0, 1.3), (2000.0, 1.5), (0.3, 1.05)]
+)
+def test_tail_sums_power_against_mpmath(c, p):
+    # Oracle at 40 digits: entries c * i**-p >= 1/2 up to index i_half, capped
+    # at 1 up to i_one, so a = c * zeta(p, i_half + 1) and b is the band
+    # (i_half - i_one) - c * (zeta(p, i_one + 1) - zeta(p, i_half + 1)). The
+    # first two tails are off by 7e-11 and 6e-11 in absolute terms, which is
+    # why the contract is relative.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        C, P = mpmath.mpf(c), mpmath.mpf(p)
+        i_half, i_one = (int(mpmath.floor((C / t) ** (1 / P))) for t in (mpmath.mpf(0.5), 1))
+        want_a = C * mpmath.zeta(P, i_half + 1)
+        want_b = (i_half - i_one) - C * (mpmath.zeta(P, i_one + 1) - mpmath.zeta(P, i_half + 1))
+        got_a, got_b = tail_sums(DiagonalSpec((), PowerTail(c, p)))
+        for got, want in ((got_a, want_a), (got_b, want_b)):
+            assert abs(got - want) <= TAIL_SUM_TOL * max(1.0, abs(want)), (got, want)
 
 
 def test_tail_sums_power_divergent():

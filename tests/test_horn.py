@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from carpenter import MajorizationInput, Move, horn_build
+from carpenter.horn import _prefix_majorized, _waterfall
 
 
 def random_majorization_input(rng, n_max=20, m_max=60):
@@ -51,6 +52,85 @@ def convex_mix(E, i, j, alpha):
     out = np.array(E, dtype=float)
     Move(i, j, math.sqrt(alpha), -math.sqrt(1.0 - alpha)).apply_inplace(out)
     return out
+
+
+def test_check_majorization_rejects_non_finite():
+    # NaN fails every comparison, so without this check ((nan,), (1, 1))
+    # passes and builds [[1, 1], [1, 1]], whose eigenvalues are (2, 0)
+    for lams, diag in [
+        ((1.0,), (0.5, math.nan, 0.5)),
+        ((math.nan,), (1.0, 1.0)),
+        ((math.inf,), (math.inf,)),
+    ]:
+        inp = MajorizationInput(lams, diag)
+        assert inp.first_violation() == "eigenvalues and diagonal entries must be finite"
+        with pytest.raises(ValueError):
+            horn_build(inp)
+
+
+def scalar_prefix_majorized(vals, lams, tol):
+    run_v = run_l = 0.0
+    for t, v in enumerate(vals):
+        run_v += v
+        if t < len(lams):
+            run_l += lams[t]
+        if run_v > run_l + tol:
+            return False
+    return True
+
+
+def scalar_waterfall(head, lams, delta):
+    slack = []
+    lam_prefix = d_prefix = 0.0
+    for t, dt in enumerate(head):
+        lam_prefix += lams[t] if t < len(lams) else 0.0
+        d_prefix += dt
+        slack.append(lam_prefix - d_prefix)
+    for t in range(len(slack) - 2, -1, -1):
+        slack[t] = min(slack[t], slack[t + 1])
+    x = []
+    remaining, absorbed = delta, 0.0
+    for t, dt in enumerate(head):
+        room = slack[t] - absorbed
+        if t > 0:
+            room = min(room, x[t - 1] - dt)
+        add = min(remaining, max(room, 0.0))
+        x.append(dt + add)
+        absorbed += add
+        remaining -= add
+    if remaining > 1e-9 * max(1.0, delta):
+        raise AssertionError("left over")
+    x[-1] += remaining
+    return x
+
+
+def test_planner_scans_match_scalar_reference():
+    # The array scans of _plan_peels against plain loops over Python floats,
+    # bit for bit, on sorted, tied, zero-signed and unsorted heads.
+    rng = np.random.default_rng(3)
+    for k in range(3000):
+        m = int(rng.integers(1, 30))
+        if k % 4 == 0:
+            head = np.sort(rng.uniform(0.0, 1.0, m))[::-1]
+        elif k % 4 == 1:
+            head = np.sort(rng.integers(0, 4, m) / 4.0)[::-1]
+        elif k % 4 == 2:
+            head = np.sort(rng.choice([0.0, -0.0, 1e-300, 0.25, 0.5], m))[::-1]
+        else:
+            head = rng.uniform(0.0, 1.0, m)
+        lams = rng.choice([0.5, 1.0, 2.0, float(rng.uniform(0.1, 2.0))], int(rng.integers(1, m + 3)))
+        lam_run = np.cumsum(lams)
+        delta = float(rng.choice([0.0, 1e-15, rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0)]))
+        assert _prefix_majorized(head, lam_run, 1e-12) == scalar_prefix_majorized(
+            head.tolist(), lams.tolist(), 1e-12
+        )
+        try:
+            want = np.array(scalar_waterfall(head.tolist(), lams.tolist(), delta))
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _waterfall(head, lam_run, delta)
+            continue
+        assert _waterfall(head, lam_run, delta).tobytes() == want.tobytes()
 
 
 def test_convex_mix_examples():

@@ -12,11 +12,13 @@ from carpenter import (
     SparseRow,
     TetrisStream,
     VerificationReport,
+    build,
     build_summable,
     check_projection,
     check_rows,
     necessity_oracle,
 )
+from test_builder import integer_sum_diagonal
 
 
 def test_check_projection_exact_diagonal_matrix():
@@ -45,6 +47,95 @@ def test_check_projection_flags_non_idempotent():
     assert not rep.all_pass
     # the failure is specific: symmetry and diagonal still pass
     assert rep.passes["symmetry"] and rep.passes["diagonal"]
+
+
+def count_above_half(M):
+    return int(np.count_nonzero(np.linalg.eigvalsh(M) > 0.5))
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Records every np.linalg.eigvalsh call and still answers it."""
+    real = np.linalg.eigvalsh
+    calls = []
+
+    def spy(M, *args, **kwargs):
+        calls.append(M.shape)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 50, 300])
+def test_estimated_rank_matches_eigensolver_on_builds(n):
+    d = integer_sum_diagonal(np.random.default_rng(n), n)
+    P = build(d).matrix
+    rep = check_projection(P, d)
+    assert rep.estimated_rank == count_above_half(P) == round(math.fsum(d))
+
+
+def test_passing_build_verifies_without_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a passing build")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    d = integer_sum_diagonal(np.random.default_rng(300), 300)
+    res = build(d)
+    assert res.report.all_pass
+    assert res.report.estimated_rank == round(math.fsum(d))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_rank_certificate_edge(eigvalsh_calls, symmetric):
+    # Perturb a built projection along a fixed direction, bisect for the
+    # scale where the certificate stops holding, and check both sides: just
+    # inside, the rank comes from the trace and every eigenvalue of the lower
+    # triangle sits within 1/(4n) of 0 or 1; just outside, the eigensolver
+    # runs. Either way the rank is the eigenvalue count.
+    n = 50
+    d = integer_sum_diagonal(np.random.default_rng(n), n)
+    P = build(d).matrix
+    Z = np.random.default_rng(1).standard_normal((n, n))
+    if symmetric:
+        Z = Z + Z.T
+
+    def certified(t):
+        eigvalsh_calls.clear()
+        check_projection(P + t * Z, d)
+        return not eigvalsh_calls
+
+    inside, outside = 1e-14, 1.0
+    assert certified(inside) and not certified(outside)
+    for _ in range(40):
+        mid = math.sqrt(inside * outside)
+        inside, outside = (mid, outside) if certified(mid) else (inside, mid)
+    assert outside / inside < 1.0 + 1e-9
+    for t, holds in ((inside, True), (outside, False)):
+        Q = P + t * Z
+        assert certified(t) is holds
+        mu = np.linalg.eigvalsh(Q)
+        assert check_projection(Q, d).estimated_rank == int(np.count_nonzero(mu > 0.5))
+        if holds:
+            assert np.max(np.minimum(np.abs(mu), np.abs(mu - 1.0))) <= 1.0 / (4 * n)
+
+
+@pytest.mark.parametrize(
+    "M, sym, idem, rank",
+    [
+        ([[0.5]], 0.0, 0.25, 0),
+        # exactly idempotent but not symmetric: the rank is read from the
+        # lower triangle, as the eigensolver reads it
+        ([[1.0, 0.3], [0.0, 0.0]], 0.3, 0.0, 1),
+        ([[1.0, math.nan], [0.0, 0.0]], math.nan, math.nan, 1),
+    ],
+)
+def test_rank_falls_back_to_eigensolver(eigvalsh_calls, M, sym, idem, rank):
+    rep = check_projection(np.array(M), [1.0] * len(M))
+    assert eigvalsh_calls == [(len(M), len(M))]
+    assert rep.estimated_rank == rank
+    for got, want in ((rep.symmetry_defect, sym), (rep.idempotence_defect, idem)):
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_check_projection_validates_shapes():
