@@ -11,21 +11,16 @@ divergent cases through a lazily streamed sparse construction.
 from .builder import (
     BuildOptions,
     BuildResult,
-    CaseTwoPlan,
     InfeasibleDiagonalError,
     build,
     build_case1,
     build_case2,
-    build_cosummable,
-    build_summable,
-    complement,
 )
 from .diagonal import (
     ConstantTail,
     DiagonalSpec,
     KadisonReport,
     PowerTail,
-    TailSums,
     Verdict,
     classify,
     complement_spec,
@@ -45,7 +40,6 @@ from .tetris import (
     TetrisStream,
     completed_columns,
     projection_prefix,
-    solve_a,
 )
 from .verify import (
     VerificationReport,
@@ -59,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildOptions",
     "BuildResult",
-    "CaseTwoPlan",
     "ConstantTail",
     "DiagonalSpec",
     "InfeasibleDiagonalError",
@@ -71,19 +64,15 @@ __all__ = [
     "OpsRequest",
     "PowerTail",
     "SparseRow",
-    "TailSums",
     "TetrisStream",
     "VerificationReport",
     "Verdict",
     "build",
     "build_case1",
     "build_case2",
-    "build_cosummable",
-    "build_summable",
     "check_projection",
     "check_rows",
     "classify",
-    "complement",
     "complement_spec",
     "completed_columns",
     "horn_build",
@@ -91,6 +80,5 @@ __all__ = [
     "ops_restore",
     "ops_shift",
     "projection_prefix",
-    "solve_a",
     "tail_sums",
 ]

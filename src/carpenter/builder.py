@@ -137,7 +137,7 @@ def _spread_to_sum(vals: list[float], target: float) -> float:
     return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
 
 
-def build_summable(d) -> np.ndarray:
+def _build_summable(d) -> np.ndarray:
     """Projection with diagonal ``d`` where sum(d) is an integer N: zeros are
     stripped and the rest realizes eigenvalues (1, ..., 1) of length N."""
     vals = [float(x) for x in d]
@@ -149,35 +149,37 @@ def build_summable(d) -> np.ndarray:
     if abs(total - rank) > INTEGRALITY_TOL:
         raise ValueError(f"sum {total} is not an integer within {INTEGRALITY_TOL}")
     n = len(vals)
-    out = np.zeros((n, n))
     if rank == 0:
-        return out
+        return np.zeros((n, n))
     core_idx = [i for i, v in enumerate(vals) if v != 0.0]
     core = [vals[i] for i in core_idx]
     _nudge_to_sum(core, float(rank))
     S = horn_build(MajorizationInput((1.0,) * rank, core))
-    out[np.ix_(core_idx, core_idx)] = S
-    return out
+    return _embed(S, core_idx, n)
 
 
-def build_cosummable(d) -> np.ndarray:
+def _build_cosummable(d) -> np.ndarray:
     """Projection with diagonal ``d`` where sum(1 - d) is an integer:
-    the complement of a summable build on 1 - d."""
+    the complement I - Q of a summable build Q on 1 - d."""
     vals = [float(x) for x in d]
-    Q = build_summable([1.0 - v for v in vals])
+    Q = _build_summable([1.0 - v for v in vals])
     return np.eye(len(vals)) - Q
 
 
-def complement(P: np.ndarray) -> np.ndarray:
-    """I - P: swaps every diagonal entry d for 1 - d."""
-    P = np.asarray(P, dtype=float)
-    return np.eye(P.shape[0]) - P
+def _embed(M: np.ndarray, idx: list[int], n: int) -> np.ndarray:
+    """The n x n matrix holding ``M`` on rows and columns ``idx`` (ascending)
+    and zeros elsewhere; ``M`` itself when ``idx`` is every index."""
+    if len(idx) == n:
+        return M
+    out = np.zeros((n, n))
+    out[np.ix_(idx, idx)] = M
+    return out
 
 
 def _shortcut(vals: list[float]) -> np.ndarray:
     if math.fsum(vals) <= len(vals) / 2.0:
-        return build_summable(vals)
-    return build_cosummable(vals)
+        return _build_summable(vals)
+    return _build_cosummable(vals)
 
 
 def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePlan]:
@@ -241,8 +243,8 @@ def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePl
 
     part1 = sorted(j0p + [i2])
     part2 = [i for i in range(len(vals)) if i not in set(part1)]
-    p1 = build_summable([d_shift[i] for i in part1])
-    p2 = build_cosummable([d_shift[i] for i in part2])
+    p1 = _build_summable([d_shift[i] for i in part1])
+    p2 = _build_cosummable([d_shift[i] for i in part2])
     E = np.zeros((len(vals), len(vals)))
     E[np.ix_(part1, part1)] = p1
     E[np.ix_(part2, part2)] = p2
@@ -257,14 +259,15 @@ def _build_finite(vals: list[float], report: KadisonReport, options: BuildOption
     zeros = [i for i, v in enumerate(vals) if v == 0.0]
     core_idx = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
     notices: list[str] = []
-    out = np.zeros((n, n))
     if core_idx:
         core = [vals[i] for i in core_idx]
         if options.pipeline == "full":
             M, _ = build_case1(core, notices)
         else:
             M = _shortcut(core)
-        out[np.ix_(core_idx, core_idx)] = M
+        out = _embed(M, core_idx, n)
+    else:
+        out = np.zeros((n, n))
     for i in ones:
         out[i, i] = 1.0
     rep = check_projection(out, vals)
@@ -308,7 +311,7 @@ def _build_power_approximate(
 
     out = np.zeros((dim, dim))
     if core:
-        out[np.ix_(core_idx, core_idx)] = build_summable(core)
+        out[np.ix_(core_idx, core_idx)] = _build_summable(core)
     for i in one_idx:
         out[i, i] = 1.0
 

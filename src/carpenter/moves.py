@@ -31,20 +31,36 @@ def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> No
 
     G maps e_i -> c*e_i + s*e_j and e_j -> -s*e_i + c*e_j, and the update is
     E <- G^T E G. The new (i, i) entry is c^2*u + 2*c*s*w + s^2*v where
-    u = E[i, i], v = E[j, j], w = E[i, j]. After the row/column update the
-    (i, j)/(j, i) pair is mirrored so the matrix stays exactly symmetric;
-    every other off-diagonal pair already agrees bitwise because both sides
-    are computed by the same two-term combination.
+    u = E[i, i], v = E[j, j], w = E[i, j].
+
+    ``E`` must be exactly symmetric (E == E.T entry for entry), as every
+    matrix the package rotates is; it stays so. Only the two rows are
+    computed. Off the 2x2 block the new columns i and j equal them bit for
+    bit: a column entry c*E[k, i] + s*E[k, j] multiplies the same numbers as
+    the row entry c*E[i, k] + s*E[j, k]. The 2x2 block takes the column
+    rotation of the new rows, by the expressions a column pass would use.
     """
-    ri = c * E[i, :] + s * E[j, :]
-    rj = -s * E[i, :] + c * E[j, :]
-    E[i, :] = ri
-    E[j, :] = rj
-    ci = c * E[:, i] + s * E[:, j]
-    cj = -s * E[:, i] + c * E[:, j]
-    E[:, i] = ci
-    E[:, j] = cj
-    E[j, i] = E[i, j]
+    ei, ej = E[i, :], E[j, :]
+    # ri = c*E[i] + s*E[j] and rj = -s*E[i] + c*E[j], with one scratch row
+    ri = ei * c
+    t = ej * s
+    ri += t
+    rj = ei * -s
+    np.multiply(ej, c, out=t)
+    rj += t
+    e_ii = c * ri[i] + s * ri[j]
+    e_ij = -s * ri[i] + c * ri[j]
+    e_jj = -s * rj[i] + c * rj[j]
+    E[i, :] = E[:, i] = ri
+    E[j, :] = E[:, j] = rj
+    E[i, i] = e_ii
+    E[j, j] = e_jj
+    E[i, j] = E[j, i] = e_ij
+
+
+def _require_symmetric(E: np.ndarray) -> None:
+    if not np.array_equal(E, E.T):
+        raise ValueError("rotations need an exactly symmetric start matrix (E == E.T)")
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,10 @@ class MovePlan:
         return len(self.moves)
 
     def replay(self, start: np.ndarray) -> np.ndarray:
+        """Apply the moves to a copy of ``start``, which must be exactly
+        symmetric (ValueError otherwise)."""
         E = np.array(start, dtype=float)
+        _require_symmetric(E)
         for move in self.moves:
             move.apply_inplace(E)
         return E
@@ -226,13 +245,15 @@ def ops_restore(
     on I1, repeatedly pairing the lowest-index open deficit with the
     lowest-index open surplus and transferring the smaller of the two amounts
     with a targeted rotation. Feasibility of each rotation follows from the
-    block ordering d_tilde[i] <= d[i] <= d[j] <= d_tilde[j].
+    block ordering d_tilde[i] <= d[i] <= d[j] <= d_tilde[j]. ``E_tilde`` must
+    be exactly symmetric (ValueError otherwise).
     """
     E = np.array(E_tilde, dtype=float)
     d_tilde = [float(x) for x in d_tilde]
     d = [float(x) for x in d]
     if len(d_tilde) != len(d) or E.shape != (len(d), len(d)):
         raise ValueError("shape mismatch between matrix and diagonals")
+    _require_symmetric(E)
     if float(np.max(np.abs(np.diag(E) - np.asarray(d_tilde)))) > 1e-10:
         raise ValueError("matrix diagonal does not match d_tilde")
 

@@ -120,7 +120,7 @@ class SparseRow:
         return cls(int(obj["n"]), int(obj["support"][0]), tuple(float(x) for x in obj["values"]))
 
 
-def solve_a(sigma: float, d1: float, d2: float) -> float:
+def _solve_a(sigma: float, d1: float, d2: float) -> float:
     """Split value for the 2x2 overlap table with row sums (a, sigma-a) and
     column constraints (d1, d2).
 
@@ -269,7 +269,7 @@ class TetrisStream:
                     f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
                 )
             self.sigma.append(s)
-            self.a.append(solve_a(s, d1, d2))
+            self.a.append(_solve_a(s, d1, d2))
 
     def permuted_labels(self, count: int) -> list[int]:
         """Source labels of the first ``count`` columns in working order."""
@@ -298,7 +298,7 @@ class TetrisStream:
         pair is (u, -w) = (sqrt(ap), -sqrt(sp - ap)) on columns kp-2, kp-1.
 
         In exact arithmetic x = sqrt(d1 - ap) and y = sqrt(d2 - sp + ap) meet
-        the balance equation u*x = w*y of solve_a, so the rows are orthogonal.
+        the balance equation u*x = w*y of _solve_a, so the rows are orthogonal.
         When one radicand is below _BALANCE_TOL, the smaller entry is derived
         from the other through that equation instead, which keeps the rows
         orthogonal whatever rounding residue the radicands carry; the column

@@ -55,6 +55,13 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     """Max-norm defects of ``P`` against the projection axioms and the
     target diagonal ``d``, plus the trace and a rank.
 
+    The idempotence defect is the max-norm over every entry of P @ P - P.
+    A built projection has a few nonzeros per row, so the product is formed
+    from P's nonzero pairs (``_pair_square``) whenever there are at most n^2
+    of them; a dense matrix (a perturbed one, as ``carpenter verify`` gets)
+    and any matrix with a non-finite entry go through the dense product
+    instead, so NaN and inf report as they always have.
+
     The rank is the number of eigenvalues above 1/2 of the symmetric matrix
     that ``np.linalg.eigvalsh`` reads, the lower triangle of ``P``. When the
     defects prove that every one of those eigenvalues lies within 1/(4n) of
@@ -73,18 +80,81 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     if n == 0:
         return VerificationReport(0.0, 0.0, 0.0, 0.0, 0, tol)
     sym, skew_norm = _norms(P - P.T)
-    idem, defect_norm = _norms(P @ P - P)
+    p_norm_sq = float(np.vdot(P, P))
+    # a non-finite entry makes the norm non-finite too
+    D = _square(P) if math.isfinite(p_norm_sq) else P @ P
+    D -= P
+    idem, defect_norm = _norms(D)
     derr = float(np.max(np.abs(np.diagonal(P) - target)))
     tr = float(np.trace(P))
-    rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(float(np.vdot(P, P))))
+    rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(p_norm_sq))
     if rank is None:
         rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
     return VerificationReport(sym, idem, derr, tr, rank, tol)
 
 
 def _norms(M: np.ndarray) -> tuple[float, float]:
-    """Max-norm and Frobenius norm of ``M``."""
-    return float(np.max(np.abs(M))), math.sqrt(float(np.vdot(M, M)))
+    """Max-norm and Frobenius norm of ``M``, without an |M| copy (``abs``
+    turns the -0.0 of an all-zero ``M`` into 0.0)."""
+    return abs(float(max(M.max(), -M.min()))), math.sqrt(float(np.vdot(M, M)))
+
+
+def _square(P: np.ndarray) -> np.ndarray:
+    """P @ P of a finite ``P``: from its nonzero pairs when it has at most
+    n^2 of them, else by the dense product.
+
+    Nonzero (i, k) pairs with every nonzero of row k, so the pair count
+    sum_k colnnz(k) * rownnz(k) is read off the nonzero counts before any
+    index array is made.
+    """
+    n = P.shape[0]
+    mask = P != 0.0
+    row_nnz = np.count_nonzero(mask, axis=1)
+    col_nnz = np.count_nonzero(mask, axis=0)
+    if int(col_nnz @ row_nnz) > n * n:
+        return P @ P
+    return _pair_square(P, mask, row_nnz)
+
+
+def _pair_square(P: np.ndarray, mask: np.ndarray, row_nnz: np.ndarray) -> np.ndarray:
+    """P @ P as the sums of the products P[i, k] * P[k, j] of nonzeros.
+
+    ``np.bincount`` adds each product into its (i, j) slot one after another
+    in pair order, and the pairs of row i come with k ascending, so every
+    entry is a sequential sum of at most n products, as in the schoolbook
+    triple loop; the products of a zero are exact zeros and are skipped.
+    Rows go in blocks of about n^2 / 16 pairs, at least 4096 (so a small
+    matrix is one block) and at most 2^15 (so a block's arrays stay in
+    cache): the pair arrays take at most about a third of one n x n array,
+    or 160 KB where that is more.
+    """
+    n = P.shape[0]
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, n)
+    vals = P.ravel()[flat]
+    nz_end = np.cumsum(row_nnz)
+    starts = nz_end - row_nnz  # position of each row's first nonzero
+    partners = row_nnz[cols]  # the pairs each nonzero (i, k) heads
+    pair_end = np.concatenate(([0], np.cumsum(partners)))[nz_end]  # pairs through row r
+    budget = max(4096, min(n * n // 16, 1 << 15))
+    out = np.empty((n, n))
+    r0 = 0
+    while r0 < n:
+        done = int(pair_end[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(pair_end.searchsorted(done + budget, side="right")))
+        a, b = starts[r0], nz_end[r1 - 1]
+        counts = partners[a:b]
+        # each pair's right factor: the nonzeros of row k, in order
+        right = np.repeat(starts[cols[a:b]] - (np.cumsum(counts) - counts), counts)
+        right += np.arange(right.size)
+        key = np.repeat((rows[a:b] - r0) * n, counts)
+        key += cols[right]
+        w = np.repeat(vals[a:b], counts)
+        w *= vals[right]
+        # with no pair at all bincount returns int64 zeros; out casts them
+        out[r0:r1] = np.bincount(key, weights=w, minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+        r0 = r1
+    return out
 
 
 def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_norm: float) -> int | None:
@@ -93,9 +163,12 @@ def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_n
     ``skew_norm``, ``defect_norm`` and ``p_norm`` are the Frobenius norms of
     the computed P - P^T, P @ P - P and of P. Let A be the symmetric matrix
     on P's lower triangle and E = A - P, so ||E||_2 <= e = skew_norm / sqrt(2)
-    and ||P||_2 <= f = p_norm. The
-    true P^2 - P differs from the computed product by at most gamma_n f^2 in
-    Frobenius norm (gamma_n = n u / (1 - n u), u the unit roundoff), and
+    and ||P||_2 <= f = p_norm. Each entry of the computed product is a sum of
+    at most n products, whether dgemm forms it or ``_pair_square`` adds the
+    nonzero ones in sequence, so it is off by at most gamma_n times the sum
+    of the products' magnitudes (gamma_n = n u / (1 - n u), u the unit
+    roundoff): the true P^2 - P differs from the computed one by at most
+    gamma_n f^2 in Frobenius norm. And
     A^2 - A = (P^2 - P) + PE + EP + E^2 - E, so every eigenvalue mu of A has
 
         |mu^2 - mu| <= eps = defect_norm + gamma_n f^2 + e (2 f + e + 1).

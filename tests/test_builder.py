@@ -17,11 +17,9 @@ from carpenter import (
     build,
     build_case1,
     build_case2,
-    build_cosummable,
-    build_summable,
-    complement,
     tail_sums,
 )
+from carpenter.builder import _build_cosummable, _build_summable
 
 
 def idempotence_defect(P):
@@ -30,7 +28,7 @@ def idempotence_defect(P):
 
 def test_build_summable_two_thirds():
     d = [2 / 3, 2 / 3, 2 / 3]
-    P = build_summable(d)
+    P = _build_summable(d)
     assert P.shape == (3, 3)
     assert np.trace(P) == pytest.approx(2.0, abs=1e-12)
     assert idempotence_defect(P) <= 1e-12
@@ -38,13 +36,13 @@ def test_build_summable_two_thirds():
 
 
 def test_build_summable_strips_zeros_and_keeps_ones():
-    P = build_summable([1.0, 0.0])
+    P = _build_summable([1.0, 0.0])
     assert np.array_equal(P, np.diag([1.0, 0.0]))
 
 
 def test_build_summable_rank_two():
     d = [0.9, 0.8, 0.3]
-    P = build_summable(d)
+    P = _build_summable(d)
     assert np.diag(P) == pytest.approx(d, abs=1e-10)
     assert idempotence_defect(P) <= 1e-12
     evals = np.sort(np.linalg.eigvalsh(P))
@@ -53,30 +51,32 @@ def test_build_summable_rank_two():
 
 def test_build_summable_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_summable([0.5, 1.2])
+        _build_summable([0.5, 1.2])
     with pytest.raises(ValueError):
-        build_summable([0.3, 0.3])
+        _build_summable([0.3, 0.3])
 
 
 def test_build_cosummable_one_third():
     d = [1 / 3, 1 / 3, 1 / 3]
-    P = build_cosummable(d)
+    P = _build_cosummable(d)
     assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
     assert idempotence_defect(P) <= 1e-12
     assert np.diag(P) == pytest.approx(d, abs=1e-10)
 
 
 def test_build_cosummable_identity():
-    assert np.array_equal(build_cosummable([1.0, 1.0]), np.eye(2))
+    assert np.array_equal(_build_cosummable([1.0, 1.0]), np.eye(2))
 
 
 def test_complement_swaps_diagonal():
-    P = build_summable([2 / 3, 2 / 3, 2 / 3])
-    Q = complement(P)
-    assert np.diag(Q) == pytest.approx([1 / 3] * 3, abs=1e-10)
+    # a cosummable build is the complement I - Q of a summable build Q on 1 - d
+    d = [1 / 3, 1 / 3, 1 / 3]
+    Q = _build_cosummable(d)
+    assert np.array_equal(Q, np.eye(3) - _build_summable([1.0 - x for x in d]))
+    assert np.diag(Q) == pytest.approx(d, abs=1e-10)
     assert idempotence_defect(Q) <= 1e-12
-    assert np.array_equal(complement(np.zeros((2, 2))), np.eye(2))
-    assert np.array_equal(complement(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
+    assert np.array_equal(_build_cosummable([0.0, 0.0]), np.zeros((2, 2)))
+    assert np.array_equal(_build_cosummable([0.0, 1.0]), np.diag([0.0, 1.0]))
 
 
 def test_case1_full_pipeline_frozen_instance():

@@ -203,3 +203,24 @@ def test_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_finite_build_and_verify_leave_scipy_sparse_and_linalg_unloaded():
+    # Either import would land in every process's start-up through the
+    # first build; finite builds and their verification use numpy only.
+    import carpenter
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(carpenter.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy as np, carpenter\n"
+        "d = [0.5] * 300\n"
+        "assert carpenter.build(d).report.all_pass\n"
+        "assert carpenter.build(d, carpenter.BuildOptions(pipeline='full')).report.all_pass\n"
+        "carpenter.check_projection(np.eye(3), [1.0] * 3)\n"
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

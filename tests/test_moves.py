@@ -160,3 +160,60 @@ def test_move_plan_serialization_round_trip():
     assert again.moves == plan.moves
     E = np.diag([0.9, 0.4, 0.3, 0.1])
     assert np.array_equal(plan.replay(E), again.replay(E))
+
+
+def two_pass_rotation(E, i, j, c, s):
+    # The two-sided update rotate_pair_inplace used to make: both rows, then
+    # both columns of the row-rotated matrix, then the (i, j) pair mirrored.
+    ri = c * E[i, :] + s * E[j, :]
+    rj = -s * E[i, :] + c * E[j, :]
+    E[i, :] = ri
+    E[j, :] = rj
+    ci = c * E[:, i] + s * E[:, j]
+    cj = -s * E[:, i] + c * E[:, j]
+    E[:, i] = ci
+    E[:, j] = cj
+    E[j, i] = E[i, j]
+
+
+def test_rows_only_rotation_matches_two_pass_reference():
+    rng = np.random.default_rng(17)
+    specials = [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (math.sqrt(0.5), -math.sqrt(0.5))]
+    for trial in range(2000):
+        n = int(rng.integers(2, 12))
+        A = rng.standard_normal((n, n))
+        if trial % 2:
+            A[rng.random((n, n)) < 0.7] = 0.0
+        if trial % 5 == 0:
+            A[rng.random((n, n)) < 0.2] = -0.0
+        E = A.copy()
+        lower = np.tril_indices(n, -1)
+        E[lower] = A.T[lower]  # exactly symmetric, signed zeros too
+        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+        if trial < len(specials):
+            c, s = specials[trial]
+        else:
+            theta = rng.uniform(-math.pi / 2, math.pi / 2)
+            c, s = math.cos(theta), math.sin(theta)
+        want = E.copy()
+        two_pass_rotation(want, i, j, c, s)
+        got = E.copy()
+        Move(i, j, c, s).apply_inplace(got)
+        assert got.tobytes() == want.tobytes(), (trial, i, j, c, s)
+        assert np.array_equal(got, got.T)
+
+
+def test_replay_rejects_non_symmetric_start():
+    plan = MovePlan([Move(0, 1, math.sqrt(0.5), math.sqrt(0.5))])
+    with pytest.raises(ValueError, match="symmetric"):
+        plan.replay(np.array([[0.0, 0.1], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        plan.replay(np.zeros((2, 3)))
+
+
+def test_ops_restore_rejects_non_symmetric_start():
+    dt = [0.0, 1.0]
+    E = np.diag(dt)
+    E[1, 0] = 1e-300
+    with pytest.raises(ValueError, match="symmetric"):
+        ops_restore(E, dt, [0.3, 0.7], (0,), (1,))

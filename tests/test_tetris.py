@@ -17,8 +17,8 @@ from carpenter import (
     check_rows,
     completed_columns,
     projection_prefix,
-    solve_a,
 )
+from carpenter.tetris import _solve_a
 
 
 def const_stream(c, head=None):
@@ -50,24 +50,24 @@ def test_reorder_moves_big_entry_to_block_front():
 
 
 def test_solve_a_examples():
-    assert solve_a(0.6, 0.4, 0.4) == pytest.approx(0.3, abs=1e-15)
-    assert solve_a(0.8, 0.4, 0.4) == pytest.approx(0.4, abs=1e-15)
-    assert solve_a(0.5, 0.5, 0.5) == 0.5  # degenerate: convention a = sigma
+    assert _solve_a(0.6, 0.4, 0.4) == pytest.approx(0.3, abs=1e-15)
+    assert _solve_a(0.8, 0.4, 0.4) == pytest.approx(0.4, abs=1e-15)
+    assert _solve_a(0.5, 0.5, 0.5) == 0.5  # degenerate: convention a = sigma
 
 
 def test_solve_a_rejects_out_of_range():
     with pytest.raises(ValueError):
-        solve_a(0.3, 0.4, 0.4)  # sigma below max(d1, d2)
+        _solve_a(0.3, 0.4, 0.4)  # sigma below max(d1, d2)
     with pytest.raises(ValueError):
-        solve_a(0.9, 0.4, 0.4)  # sigma above d1 + d2
+        _solve_a(0.9, 0.4, 0.4)  # sigma above d1 + d2
 
 
 def test_solve_a_orthogonality_identity():
     # a row ending in (sqrt(a), -sqrt(sigma - a)) and the next row opening
     # with (sqrt(d1 - a), sqrt(d2 - sigma + a)) are orthogonal exactly when
-    # a * (d1 - a) == (sigma - a) * (d2 - sigma + a); solve_a picks that root
+    # a * (d1 - a) == (sigma - a) * (d2 - sigma + a); _solve_a picks that root
     for sigma, d1, d2 in [(0.6, 0.4, 0.4), (0.75, 0.5, 0.4), (0.31, 0.3, 0.02)]:
-        a = solve_a(sigma, d1, d2)
+        a = _solve_a(sigma, d1, d2)
         b = d1 - a
         c = sigma - a
         e = d2 - c

@@ -13,11 +13,12 @@ from carpenter import (
     TetrisStream,
     VerificationReport,
     build,
-    build_summable,
     check_projection,
     check_rows,
     necessity_oracle,
 )
+from carpenter import verify
+from carpenter.builder import _build_summable
 from test_builder import integer_sum_diagonal
 
 
@@ -33,7 +34,7 @@ def test_check_projection_exact_diagonal_matrix():
 
 def test_check_projection_on_built_matrix():
     d = [2 / 3, 2 / 3, 2 / 3]
-    rep = check_projection(build_summable(d), d)
+    rep = check_projection(_build_summable(d), d)
     assert rep.idempotence_defect <= 1e-12
     assert rep.trace == pytest.approx(2.0, abs=1e-12)
     assert rep.estimated_rank == 2
@@ -136,6 +137,128 @@ def test_rank_falls_back_to_eigensolver(eigvalsh_calls, M, sym, idem, rank):
     assert rep.estimated_rank == rank
     for got, want in ((rep.symmetry_defect, sym), (rep.idempotence_defect, idem)):
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def k_ordered_square(P):
+    # The schoolbook product with k outermost: entry (i, j) is a sequential
+    # sum over k ascending. Products with a zero factor add exact zeros.
+    out = np.zeros(P.shape)
+    for k in range(P.shape[0]):
+        out += np.outer(P[:, k], P[k, :])
+    return out
+
+
+def sparse_symmetric(rng, n, density):
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    return A + A.T
+
+
+def banded_projection_like(n, width):
+    rng = np.random.default_rng(n)
+    A = np.zeros((n, n))
+    for i in range(n):
+        lo, hi = max(0, i - width), min(n, i + width + 1)
+        A[i, lo:hi] = rng.uniform(-0.3, 0.3, hi - lo)
+    return A + A.T
+
+
+PAIR_CASES = {
+    "sparse-symmetric": sparse_symmetric(np.random.default_rng(1), 60, 0.05),
+    "sparse-general": np.random.default_rng(2).standard_normal((60, 60))
+    * (np.random.default_rng(3).random((60, 60)) < 0.06),
+    "empty-edge-rows": np.pad(sparse_symmetric(np.random.default_rng(4), 30, 0.1), 5),
+    "single-nonzero": np.pad(np.array([[0.0, 0.7], [0.0, 0.0]]), ((2, 3), (1, 4))),
+    "all-zero": np.zeros((4, 4)),
+    "one-by-one": np.array([[0.7]]),
+    # more than n^2 / 16 pairs, so the rows go in several blocks
+    "row-blocks": banded_projection_like(400, 7),
+}
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    real = verify._pair_square
+    calls = []
+
+    def spy(P, *args):
+        calls.append(P.shape)
+        return real(P, *args)
+
+    monkeypatch.setattr(verify, "_pair_square", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CASES))
+def test_pair_product_matches_dense_product(pair_calls, name):
+    P = PAIR_CASES[name]
+    n = P.shape[0]
+    got = verify._square(P)
+    assert pair_calls == [P.shape]
+    assert got.dtype == np.float64 and got.shape == P.shape
+    assert np.array_equal(got, k_ordered_square(P))
+    u = np.finfo(float).eps / 2
+    gamma = n * u / (1 - n * u)
+    assert np.linalg.norm(got - P @ P) <= gamma * np.vdot(P, P)
+
+
+def test_dense_and_non_finite_matrices_take_the_dense_product(pair_calls):
+    P = np.random.default_rng(5).standard_normal((40, 40))
+    assert verify._square(P).tobytes() == (P @ P).tobytes()
+    assert pair_calls == []
+    Q = PAIR_CASES["sparse-symmetric"].copy()
+    Q[3, 4] = math.nan
+    with np.errstate(invalid="ignore"):
+        check_projection(Q, [0.0] * len(Q))
+    assert pair_calls == []
+
+
+# Report fields of build(integer_sum_diagonal(default_rng(n), n)).report as
+# (symmetry, idempotence, diagonal error, trace, rank), recorded while every
+# product was dense. The idempotence defect may move by the rounding of a
+# different summation order; nothing else may move.
+BUILD_REPORTS = {
+    5: (0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 3.0000000000000004, 3),
+    50: (0.0, 4.440892098500626e-16, 2.220446049250313e-16, 25.0, 25),
+    300: (0.0, 8.593126210598712e-14, 5.551115123125783e-16, 147.0, 147),
+    1000: (0.0, 9.668932321460488e-13, 8.881784197001252e-15, 488.0, 488),
+}
+
+
+def report_fields(rep):
+    return (rep.symmetry_defect, rep.idempotence_defect, rep.diagonal_max_error, rep.trace, rep.estimated_rank)
+
+
+@pytest.mark.parametrize("n", sorted(BUILD_REPORTS))
+def test_build_reports_match_dense_product_reports(n):
+    got = report_fields(build(integer_sum_diagonal(np.random.default_rng(n), n)).report)
+    want = BUILD_REPORTS[n]
+    assert got[:1] + got[2:] == want[:1] + want[2:]
+    assert abs(got[1] - want[1]) <= 1e-15
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "pos, value, want",
+    [
+        ((1, 2), NAN, (NAN, NAN, 2.220446049250313e-16, 25.0, 25)),
+        ((1, 2), INF, (INF, NAN, 2.220446049250313e-16, 25.0, 25)),
+        ((1, 2), -INF, (INF, NAN, 2.220446049250313e-16, 25.0, 25)),
+        ((0, 0), INF, (NAN, NAN, INF, INF, 0)),
+        ((0, 0), -INF, (NAN, NAN, INF, -INF, 0)),
+    ],
+    ids=["off-diagonal-nan", "off-diagonal-inf", "off-diagonal-neg-inf", "diagonal-inf", "diagonal-neg-inf"],
+)
+def test_non_finite_entries_report_as_before(pos, value, want):
+    # values recorded while every product was dense
+    d = integer_sum_diagonal(np.random.default_rng(50), 50)
+    P = build(d).matrix
+    P[pos] = value
+    with np.errstate(invalid="ignore"):
+        got = report_fields(check_projection(P, d))
+    for g, w in zip(got, want):
+        assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
 
 
 def test_check_projection_validates_shapes():
