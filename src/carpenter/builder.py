@@ -17,7 +17,6 @@ of rank-one terms whose completed columns are already final.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -38,8 +37,6 @@ from .horn import MajorizationInput, horn_build
 from .moves import MovePlan, OpsRequest, ops_restore, ops_shift
 from .tetris import TetrisStream, projection_prefix
 from .verify import PROJECTION_TOL, VerificationReport, check_projection
-
-log = logging.getLogger(__name__)
 
 _APPROX_CORE_CAP = 10_000
 
@@ -97,44 +94,30 @@ class BuildResult:
     notices: list[str] = field(default_factory=list)
 
 
-def _nudge_to_sum(vals: list[float], target: float) -> float:
-    """Adjust entries in place so fsum(vals) hits ``target`` exactly enough
-    for downstream equality gates; entries stay in [0, 1]. Returns the largest
-    single-entry change."""
-    worst = 0.0
-    for _ in range(4):
-        r = target - math.fsum(vals)
-        if abs(r) <= 1e-13:
-            break
-        for i in sorted(range(len(vals)), key=lambda t: vals[t], reverse=r < 0):
-            if abs(r) <= 1e-13:
-                break
-            new = min(1.0, max(0.0, vals[i] + r))
-            r -= new - vals[i]
-            worst = max(worst, abs(new - vals[i]))
-            vals[i] = new
-    return worst
-
-
 def _spread_to_sum(vals: list[float], target: float) -> float:
-    """Like _nudge_to_sum but spreads the residual evenly, minimizing the
-    per-entry deviation. Returns the largest total change of one entry over
-    all passes."""
+    """Fit fsum(vals) to ``target`` within 1e-12, in place, and return the
+    largest change of one entry; every finite route fits its near-integer sum
+    here once, before it builds. Each pass spreads the residual r evenly over
+    the entries that can move toward it (below 1 if r > 0, above 0 if r < 0),
+    clipped to [0, 1]. A sum already within the stop costs one fsum."""
+    r = target - math.fsum(vals)
+    if abs(r) <= 1e-12:
+        return 0.0
     before = list(vals)
     for _ in range(16):
-        r = target - math.fsum(vals)
-        if abs(r) <= 1e-12:
-            break
         open_idx = [i for i in range(len(vals)) if (vals[i] < 1.0 if r > 0 else vals[i] > 0.0)]
         if not open_idx:
             raise ValueError(f"cannot absorb integrality residual {r} into the core")
         per = r / len(open_idx)
         for i in open_idx:
             vals[i] = min(1.0, max(0.0, vals[i] + per))
+        r = target - math.fsum(vals)
+        if abs(r) <= 1e-12:
+            break
     else:
-        if abs(target - math.fsum(vals)) > 1e-10:
+        if abs(r) > 1e-10:
             raise ValueError("integrality residual failed to converge")
-    return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
+    return max(abs(v - b) for v, b in zip(vals, before))
 
 
 def _build_summable(d) -> np.ndarray:
@@ -153,9 +136,9 @@ def _build_summable(d) -> np.ndarray:
         return np.zeros((n, n))
     core_idx = [i for i, v in enumerate(vals) if v != 0.0]
     core = [vals[i] for i in core_idx]
-    _nudge_to_sum(core, float(rank))
+    _spread_to_sum(core, float(rank))
     S = horn_build(MajorizationInput((1.0,) * rank, core))
-    return _embed(S, core_idx, n)
+    return _corner(n, [(core_idx, S)])
 
 
 def _build_cosummable(d) -> np.ndarray:
@@ -166,13 +149,17 @@ def _build_cosummable(d) -> np.ndarray:
     return np.eye(len(vals)) - Q
 
 
-def _embed(M: np.ndarray, idx: list[int], n: int) -> np.ndarray:
-    """The n x n matrix holding ``M`` on rows and columns ``idx`` (ascending)
-    and zeros elsewhere; ``M`` itself when ``idx`` is every index."""
-    if len(idx) == n:
-        return M
-    out = np.zeros((n, n))
-    out[np.ix_(idx, idx)] = M
+def _corner(dim: int, blocks, ones=()) -> np.ndarray:
+    """The dim x dim corner holding each ``(idx, M)`` of ``blocks`` on rows
+    and columns ``idx`` (ascending), 1.0 at (i, i) for i in ``ones``, zeros
+    elsewhere. Blocks and ``ones`` are disjoint, so one block on all ``dim``
+    indices is the whole corner and comes back as is, not copied."""
+    if len(blocks) == 1 and len(blocks[0][0]) == dim:
+        return blocks[0][1]
+    out = np.zeros((dim, dim))
+    for idx, M in blocks:
+        out[np.ix_(idx, idx)] = M
+    out[ones, ones] = 1.0
     return out
 
 
@@ -192,16 +179,18 @@ def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePl
     block on J0' + {i2} (sum exactly 1) and a cosummable rest, and targeted
     rotations restore the shifted entries. Inputs without the needed
     structure (ties, too few large entries) fall back to the shortcut with a
-    logged notice and an empty plan.
+    notice and an empty plan. A sum within INTEGRALITY_TOL of an integer is
+    fitted once, before the shift, so both parts sum to integers as built.
     """
     vals = [float(x) for x in d]
     total = math.fsum(vals)
-    if abs(total - round(total)) > INTEGRALITY_TOL:
+    rank = round(total)
+    if abs(total - rank) > INTEGRALITY_TOL:
         raise ValueError(f"sum {total} is not an integer within {INTEGRALITY_TOL}")
+    _spread_to_sum(vals, float(rank))
 
     def fallback(reason: str) -> tuple[np.ndarray, MovePlan]:
         msg = f"pipeline preconditions unmet ({reason}); using the shortcut route"
-        log.info(msg)
         if notices is not None:
             notices.append(msg)
         return _shortcut(vals), MovePlan()
@@ -245,31 +234,25 @@ def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePl
     part2 = [i for i in range(len(vals)) if i not in set(part1)]
     p1 = _build_summable([d_shift[i] for i in part1])
     p2 = _build_cosummable([d_shift[i] for i in part2])
-    E = np.zeros((len(vals), len(vals)))
-    E[np.ix_(part1, part1)] = p1
-    E[np.ix_(part2, part2)] = p2
+    E = _corner(len(vals), [(part1, p1), (part2, p2)])
     if eta0 > 0.0:
         return ops_restore(E, d_shift, vals, i0, [i1])
     return E, MovePlan()
 
 
 def _build_finite(vals: list[float], report: KadisonReport, options: BuildOptions) -> BuildResult:
-    n = len(vals)
     ones = [i for i, v in enumerate(vals) if v == 1.0]
-    zeros = [i for i, v in enumerate(vals) if v == 0.0]
     core_idx = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
     notices: list[str] = []
+    blocks = []
     if core_idx:
         core = [vals[i] for i in core_idx]
         if options.pipeline == "full":
             M, _ = build_case1(core, notices)
         else:
             M = _shortcut(core)
-        out = _embed(M, core_idx, n)
-    else:
-        out = np.zeros((n, n))
-    for i in ones:
-        out[i, i] = 1.0
+        blocks.append((core_idx, M))
+    out = _corner(len(vals), blocks, ones)
     rep = check_projection(out, vals)
     return BuildResult(kadison=report, matrix=out, report=rep, notices=notices)
 
@@ -305,15 +288,10 @@ def _build_power_approximate(
             f"core target sum {target} is not close to an integer; "
             "the tail sums disagree with the feasibility verdict"
         )
-    worst_spread = _spread_to_sum(core, float(rank)) if core else 0.0
     if not core and rank != 0:
         raise ValueError("no core entries left to carry the integer rank; decrease epsilon")
-
-    out = np.zeros((dim, dim))
-    if core:
-        out[np.ix_(core_idx, core_idx)] = _build_summable(core)
-    for i in one_idx:
-        out[i, i] = 1.0
+    worst_spread = _spread_to_sum(core, float(rank))
+    out = _corner(dim, [(core_idx, _build_summable(core))], one_idx)
 
     # A core entry is off by its spread plus the exact build's own rounding,
     # which stays within PROJECTION_TOL; zeroed and raised entries are off by
@@ -360,26 +338,18 @@ def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
 
     When the below-half sum diverges, every entry above 1/2 heads its own
     block and the rest are dealt cyclically, so each block keeps a divergent
-    sum and satisfies the streaming hypotheses. Otherwise the above-half
-    defect diverges; the spec is complemented (1 - d), handled by the first
-    branch, and the result is marked for complementation.
+    sum and satisfies the streaming hypotheses. Otherwise (a constant tail
+    above 1/2) the blocks are dealt from 1 - d, and the plan is marked
+    ``complemented``: its streams, heads and stride describe 1 - d, its
+    trivial ones and zeros those of ``spec``.
     """
     report = classify(spec)
     if report.verdict is not Verdict.CASE_II:
         raise ValueError(f"verdict mismatch: expected case_ii, got {report.verdict.value}")
+    complemented = isinstance(spec.tail, ConstantTail) and spec.tail.c > 0.5
+    if complemented:
+        spec = complement_spec(spec)
     tail = spec.tail
-    if isinstance(tail, ConstantTail) and tail.c > 0.5:
-        inner = build_case2(complement_spec(spec))
-        return CaseTwoPlan(
-            streams=inner.streams,
-            heads=inner.heads,
-            stride=inner.stride,
-            complemented=True,
-            kadison=report,
-            trivial_ones=inner.trivial_zeros,
-            trivial_zeros=inner.trivial_ones,
-        )
-
     ones = [i for i, v in enumerate(spec.prefix) if v == 1.0]
     zeros = [i for i, v in enumerate(spec.prefix) if v == 0.0]
     heads = [(i, v) for i, v in enumerate(spec.prefix) if 0.5 < v < 1.0]
@@ -398,11 +368,13 @@ def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
         TetrisStream(_block_source(spec, skip, heads[b] if b < len(heads) else None, b, stride))
         for b in range(stride)
     ]
+    if complemented:
+        ones, zeros = zeros, ones
     return CaseTwoPlan(
         streams=streams,
         heads=[i for i, _ in heads],
         stride=stride,
-        complemented=False,
+        complemented=complemented,
         kadison=report,
         trivial_ones=ones,
         trivial_zeros=zeros,
@@ -437,12 +409,8 @@ def _build_case2_result(
         top = max(top, order[-1])
 
     dim = top + 1
-    out = np.zeros((dim, dim))
-    for order, M in pieces:
-        out[np.ix_(order, order)] = M
     attach_ones = plan.trivial_zeros if plan.complemented else plan.trivial_ones
-    for i in attach_ones:
-        out[i, i] = 1.0
+    out = _corner(dim, pieces, attach_ones)
     if plan.complemented:
         out = np.eye(dim) - out
     result.matrix = out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -23,8 +22,6 @@ from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2
 from .diagonal import DiagonalSpec, Verdict, classify
 from .tetris import NeedsMoreTermsError, completed_columns
 from .verify import check_projection, necessity_oracle
-
-log = logging.getLogger(__name__)
 
 
 class CliInputError(ValueError):
@@ -296,18 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("CARPENTER_LOG")
-    if not level_name:
-        return
-    level = logging.getLevelName(level_name.upper())
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level)
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     try:
         ns = _build_parser().parse_args(argv)
         _check_paths(ns)

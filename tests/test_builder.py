@@ -20,6 +20,7 @@ from carpenter import (
     tail_sums,
 )
 from carpenter.builder import _build_cosummable, _build_summable
+from carpenter.diagonal import INTEGRALITY_TOL
 
 
 def idempotence_defect(P):
@@ -330,6 +331,37 @@ def integer_sum_diagonal(rng, n):
     return vals
 
 
+def near_integer_diagonal(rng):
+    """An integer-sum diagonal with one entry moved by up to 9e-10: its sum
+    is off its integer by less than INTEGRALITY_TOL, so it classifies as
+    case I."""
+    n = int(rng.integers(3, 200))
+    d = integer_sum_diagonal(rng, n)
+    i = int(rng.integers(0, n))
+    d[i] += float(rng.uniform(-9e-10, 9e-10))
+    assert 0.0 < d[i] < 1.0
+    return d
+
+
+@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
+def test_near_integer_sums_spread_over_the_core(pipeline):
+    # The residual r goes evenly onto the m entries strictly between 0 and 1,
+    # on both pipelines; putting it on one entry moved that entry by |r|,
+    # and the full pipeline's restore step then rejected the part it built.
+    # On top of the spread comes the exact build's own rounding, which
+    # reaches 1.0e-14 on these inputs (n < 200).
+    for seed in range(20):
+        d = near_integer_diagonal(np.random.default_rng(seed))
+        total = math.fsum(d)
+        r = round(total) - total
+        assert 1e-12 < abs(r) <= INTEGRALITY_TOL
+        m = sum(0.0 < x < 1.0 for x in d)
+        res = build(d, BuildOptions(pipeline=pipeline))
+        assert res.kadison.verdict is Verdict.CASE_I
+        assert res.report.all_pass, seed
+        assert res.report.diagonal_max_error <= abs(r) / m + 2e-14, seed
+
+
 @pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
 def test_build_bit_identical(n):
     d = integer_sum_diagonal(np.random.default_rng(n), n)
@@ -349,3 +381,64 @@ def test_build_1000_bit_identical():
         hashlib.sha256(res.matrix.tobytes()).hexdigest(),
         hashlib.sha256(report.encode()).hexdigest(),
     ) == BUILD_1000_DIGESTS
+
+
+def result_digests(res):
+    """sha256 of the matrix bytes and of the case-II fields as sorted JSON."""
+    fields = {
+        "completed_indices": res.completed_indices,
+        "block_heads": res.block_heads,
+        "block_stride": res.block_stride,
+        "complemented": res.complemented,
+    }
+    return (
+        hashlib.sha256(res.matrix.tobytes()).hexdigest(),
+        hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest(),
+    )
+
+
+# Corners of routes with no other pin, recorded before the corner assembly
+# was shared by every route. Both case-II specs carry exact 0s and 1s; the
+# second has c > 1/2, so its two blocks stream 1 - d.
+CORNER_SPECS = {
+    "case2-multi-block": DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4)),
+    "case2-complemented": DiagonalSpec((0.2, 0.1, 0.0, 0.6, 1.0), ConstantTail(0.9)),
+    "constant-0-tail": DiagonalSpec(integer_sum_diagonal(np.random.default_rng(40), 40), ConstantTail(0.0)),
+    "constant-1-tail": DiagonalSpec(integer_sum_diagonal(np.random.default_rng(41), 41), ConstantTail(1.0)),
+}
+CORNER_DIGESTS = {
+    "case2-complemented": (
+        "ba6e7a42bf7d35ab98e5a75a78aabf050e9fcf03e054c681841dd26712cc3e4d",
+        "6e532adc88745fd545f70f46447fa9087b61ce066844c4e000757e9c54c4fbb9",
+    ),
+    "case2-multi-block": (
+        "0a7590fb0c7bbc158aabb67a5e2e743b3ed99dc51cec7fe95f97de638e94fac3",
+        "0feb321b9ff33d38ca683ac20ee63077b754fef910a697be24189e8921d43c37",
+    ),
+    "constant-0-tail": (
+        "16133cb3d42f9559d4a19272a27f6df8c33d8a37f6fed9f9b69e9609cc247d58",
+        "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
+    ),
+    "constant-1-tail": (
+        "eab5b1df99a5fbe91948b8607c431f60607594a045009bbc789e1ce738bb2fe5",
+        "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_SPECS))
+def test_corner_bit_identical(name):
+    res = build(CORNER_SPECS[name], BuildOptions(truncation_rows=12))
+    assert result_digests(res) == CORNER_DIGESTS[name]
+
+
+# random_approximate_spec(default_rng(7)) at epsilon 1e-3: sha256 of the
+# matrix bytes, and the reported bound.
+POWER_APPROX_PIN = ("a025024000533a65355226138e79e8da07cac6628c702fb18848bf448f857866", 0.0009629343740758971)
+
+
+def test_power_approximate_bit_identical():
+    spec = random_approximate_spec(np.random.default_rng(7))
+    res = build(spec, BuildOptions(mode="approximate", epsilon=1e-3))
+    got = (hashlib.sha256(res.matrix.tobytes()).hexdigest(), res.approximation_error)
+    assert got == POWER_APPROX_PIN

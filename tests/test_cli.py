@@ -14,6 +14,7 @@ import carpenter
 import carpenter.cli
 from carpenter import NeedsMoreTermsError, build
 from carpenter.cli import main
+from test_builder import near_integer_diagonal
 
 
 def write(tmp_path, name, text):
@@ -162,11 +163,13 @@ def test_unknown_command_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_log_env_var_is_tolerated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARPENTER_LOG", "debug")
-    f = write(tmp_path, "d.json", "[1.0]")
-    assert main(["classify", "--input", f]) == 0
-    capsys.readouterr()
+def test_build_full_pipeline_near_integer_sum(tmp_path):
+    d = near_integer_diagonal(np.random.default_rng(3))
+    f = write(tmp_path, "d.json", json.dumps(d))
+    out = tmp_path / "P.csv"
+    assert main(["build", "--input", f, "--pipeline", "full", "--output", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "P.csv.report.json").read_text())
+    assert sidecar["verification"]["all_pass"] is True
 
 
 @pytest.mark.parametrize(

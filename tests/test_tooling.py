@@ -1,5 +1,7 @@
-"""The benchmark's tracer must find every function it is told to time."""
+"""The benchmark's tracer must find every function it is told to time, and
+the package reads no environment."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import carpenter  # noqa: F401  (Tracer.install wraps the loaded modules)
 import carpenter.cli  # noqa: F401
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -32,3 +35,19 @@ def test_tracer_targets_resolve():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_package_reads_no_environment():
+    # Behaviour follows the arguments alone: no module reads os.environ or
+    # os.getenv, under any import form.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    paths = sorted((ROOT / "src" / "carpenter").glob("*.py"))
+    assert len(paths) >= 8
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in names]
+    assert found == []
