@@ -68,7 +68,10 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     0 or 1 (``_certified_rank``), that number is the rounded trace, and no
     eigensolver runs: a passing build verifies in the time of one matrix
     product. Otherwise (a perturbed, failing or non-finite matrix) the
-    eigenvalues are computed and counted.
+    eigenvalues are computed and counted. When the eigensolver does not
+    converge, as on a NaN in the lower triangle, the rank is 0: no eigenvalue
+    is known to exceed 1/2, as when it returns NaN eigenvalues for an
+    infinite entry. The NaN also fails the symmetry or diagonal check.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -89,7 +92,10 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     tr = float(np.trace(P))
     rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(p_norm_sq))
     if rank is None:
-        rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
+        try:
+            rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
+        except np.linalg.LinAlgError:
+            rank = 0
     return VerificationReport(sym, idem, derr, tr, rank, tol)
 
 

@@ -14,7 +14,7 @@ import carpenter
 import carpenter.cli
 from carpenter import NeedsMoreTermsError, build
 from carpenter.cli import main
-from test_builder import near_integer_diagonal
+from test_builder import integer_sum_diagonal, near_integer_diagonal
 
 
 def write(tmp_path, name, text):
@@ -117,6 +117,18 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["all_pass"] is False
     assert rep["pass"]["idempotence"] is False
+
+
+def test_verify_nan_matrix_fails_with_exit_two(tmp_path, capsys):
+    d = integer_sum_diagonal(np.random.default_rng(20), 20)
+    P = build(d).matrix
+    P[0, 0] = np.nan
+    f = write(tmp_path, "d.json", json.dumps(d))
+    m = write(tmp_path, "P.csv", carpenter.cli._matrix_to_csv(P))
+    assert main(["verify", "--input", m, "--diagonal", f]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["all_pass"] is False
+    assert rep["estimated_rank"] == 0
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):

@@ -261,6 +261,24 @@ def test_non_finite_entries_report_as_before(pos, value, want):
         assert g == w or (math.isnan(g) and math.isnan(w)), (got, want)
 
 
+@pytest.mark.parametrize("n", [3, 20, 80])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nan_in_lower_triangle_reports_failure(n, seed):
+    # On all but one of these the eigensolver raises LinAlgError; the report
+    # then says rank 0, and it fails either way.
+    d = integer_sum_diagonal(np.random.default_rng(seed), n)
+    P = build(d).matrix
+    P[0, 0] = NAN
+    with np.errstate(invalid="ignore"):
+        rep = check_projection(P, d)
+    assert not rep.all_pass
+    assert math.isnan(rep.diagonal_max_error) and math.isnan(rep.trace)
+    try:
+        np.linalg.eigvalsh(P)
+    except np.linalg.LinAlgError:
+        assert rep.estimated_rank == 0
+
+
 def test_check_projection_validates_shapes():
     with pytest.raises(ValueError):
         check_projection(np.zeros((2, 3)), [0.0, 0.0])
