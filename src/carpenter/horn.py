@@ -99,8 +99,18 @@ def _waterfall(head, lam_run, delta: float) -> np.ndarray:
     strand the surplus there. The last slack equals delta (totals match), so a
     full absorption exists whenever the head's own prefix slacks are
     nonnegative, which the peel recursion maintains.
+
+    The slack is that of the exact prefix sums: Knuth's TwoSum takes the
+    rounding error of each step of ``cumsum``, and the running error comes
+    off the slack. A rounded prefix sum is off by up to its ulp, so entries
+    filled to the brim would land near 1 instead of on it, later become
+    segments short of their eigenvalue, and leave a defect that grows with n.
     """
-    slack = _padded(lam_run, len(head)) - head.cumsum()
+    run = head.cumsum()
+    prev = np.concatenate(([0.0], run[:-1]))
+    bb = run - prev
+    err = (prev - (run - bb)) + (head - bb)
+    slack = (_padded(lam_run, len(head)) - run) - err.cumsum()
     slack = np.minimum.accumulate(slack[::-1])[::-1]
 
     # An entry without room takes add = 0.0 and becomes dt + 0.0. The others

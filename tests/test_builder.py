@@ -306,21 +306,22 @@ def test_approximation_error_bounds_the_diagonal():
         assert res.report.all_pass, spec
 
 
-# sha256 of build(d).matrix.tobytes(), recorded before the rotation records
-# were merged into moves.Move. d = integer_sum_diagonal(default_rng(n), n).
+# sha256 of build(d).matrix.tobytes(), d = integer_sum_diagonal(default_rng(n), n).
+# n = 5 was recorded before the rotation records were merged into moves.Move;
+# 50 and 300 were re-recorded when the waterfall's slack became compensated.
 BUILD_DIGESTS = {
     5: "3beea5d9818d4ad7714eb91167687249d2e463a763ba0b3a26d663ede7cf2a3f",
-    50: "26a1ca39d380c1cd6db1be82cd7eaaa15891ca907259fe35e26a655bafb3dd82",
-    300: "21db17a0dd4eafc53b2d7b5350e3e2f725a975fd674cb652366b6b51c59383d0",
+    50: "5a06684474e67052a4fdbf8d954cfbee930ad5733fbb66509ed66fafc87867e7",
+    300: "e35e1b75d4b5110250b00ede34c624738609145ca01cc719b45a5042d5f2d941",
 }
 FULL_PIPELINE_DIGEST = "1b3aa5259df0fb360762d93a978850366d5607dee71481a15badc79a00a067ea"
 # n = 1000 from integer_sum_diagonal(default_rng(1000), 1000), where the peel
 # falls back to _waterfall dozens of times: sha256 of the matrix bytes and of
-# json.dumps(report.to_json_dict(), sort_keys=True), recorded before the peel
-# planner's scans moved to numpy and before the rank certificate.
+# json.dumps(report.to_json_dict(), sort_keys=True), re-recorded when the
+# waterfall's slack became compensated (idempotence defect 9.7e-13 -> 1.1e-15).
 BUILD_1000_DIGESTS = (
-    "e9ecd5a77c58f17564d49327ce19c0fcba79821bb3a4aa2e6d4cb536c2fd4f40",
-    "e30e24f256c44b59348466e01647d5bcab3e4081094e14d9c92a959bf806da35",
+    "c35e79107f84f962a67b90199d3d998280b289c3bc4514c2c5d7531cff3ef234",
+    "4f7406219f442899921c4e0664adda8c92ff82c499ac1fd153fd48bafd2125b9",
 )
 
 
@@ -398,8 +399,10 @@ def result_digests(res):
 
 
 # Corners of routes with no other pin, recorded before the corner assembly
-# was shared by every route. Both case-II specs carry exact 0s and 1s; the
-# second has c > 1/2, so its two blocks stream 1 - d.
+# was shared by every route; the two horn-backed constant-tail corners were
+# re-recorded when the waterfall's slack became compensated. Both case-II
+# specs carry exact 0s and 1s; the second has c > 1/2, so its two blocks
+# stream 1 - d.
 CORNER_SPECS = {
     "case2-multi-block": DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4)),
     "case2-complemented": DiagonalSpec((0.2, 0.1, 0.0, 0.6, 1.0), ConstantTail(0.9)),
@@ -416,11 +419,11 @@ CORNER_DIGESTS = {
         "0feb321b9ff33d38ca683ac20ee63077b754fef910a697be24189e8921d43c37",
     ),
     "constant-0-tail": (
-        "16133cb3d42f9559d4a19272a27f6df8c33d8a37f6fed9f9b69e9609cc247d58",
+        "866ad0d7d0a7bad15a1e4376f99b00d85b31c9b2dafe1d91360b99dd4ee5e3e9",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
     "constant-1-tail": (
-        "eab5b1df99a5fbe91948b8607c431f60607594a045009bbc789e1ce738bb2fe5",
+        "ed10d454da1bc8003f2ddb4d3f60d06a72a8cb3ad3ab482f695ad5fa811e7893",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
 }

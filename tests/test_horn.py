@@ -80,12 +80,17 @@ def scalar_prefix_majorized(vals, lams, tol):
 
 
 def scalar_waterfall(head, lams, delta):
+    # the slack of the exact prefix sums: TwoSum's error of each step of the
+    # running sum, accumulated and taken off
     slack = []
-    lam_prefix = d_prefix = 0.0
+    lam_prefix = d_prefix = err_run = 0.0
     for t, dt in enumerate(head):
         lam_prefix += lams[t] if t < len(lams) else 0.0
-        d_prefix += dt
-        slack.append(lam_prefix - d_prefix)
+        s = d_prefix + dt
+        bb = s - d_prefix
+        err_run += (d_prefix - (s - bb)) + (dt - bb)
+        d_prefix = s
+        slack.append((lam_prefix - d_prefix) - err_run)
     for t in range(len(slack) - 2, -1, -1):
         slack[t] = min(slack[t], slack[t + 1])
     x = []
