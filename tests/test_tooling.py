@@ -39,7 +39,7 @@ def test_tracer_targets_resolve():
 
 def test_package_reads_no_environment():
     # Behaviour follows the arguments alone: no module reads os.environ or
-    # os.getenv, under any import form.
+    # os.getenv, as an attribute or through "from os import".
     names = {"environ", "environb", "getenv", "getenvb"}
     paths = sorted((ROOT / "src" / "carpenter").glob("*.py"))
     assert len(paths) >= 8
