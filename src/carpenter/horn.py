@@ -8,15 +8,22 @@ repairs the bumped entries with spectrum-preserving two-coordinate rotations.
 Peeling is an explicit loop rather than call-stack recursion so large inputs
 do not hit the interpreter recursion limit.
 
+The build works on a factor W with S = W W^T, never on a dense start matrix.
+Column k of W is the square root of the k-th peeled block's values on the
+block's rows; a row of W has about four nonzeros, stored as a
+``{column: value}`` map. A repair rotates two rows of W, at the cost of
+their supports, and the dense S is formed once from W's nonzero pairs
+(``_gram``), exactly symmetric.
+
 The single-entry bump (all compensation placed on the last head entry) can
 overshoot the head's majorization budget; see the note inside
 ``_plan_peels``. A single bump is repaired by a convex-mix rotation, known
 when the peel is planned, so it is planned as a :class:`~carpenter.moves.Move`.
 When the bump overshoots, the compensation is spread greedily over several
 head entries instead, and the repair becomes a short chain of targeted
-rotations (``moves.rotate_to``), whose angles depend on the matrix at repair
-time. Both kinds of repair are recorded as Moves in one
-:class:`~carpenter.moves.MovePlan`.
+rotations, whose angles depend on W at repair time. Both kinds of repair are
+recorded as Moves in one :class:`~carpenter.moves.MovePlan`; replayed on the
+rows of the start factor they give the final factor bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moves import Move, MovePlan, rotate_to
+from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
 
 MAJORIZATION_TOL = 1e-10
 
@@ -220,40 +227,96 @@ def horn_build(inp: MajorizationInput, return_plan: bool = False):
     """Symmetric matrix with eigenvalues ``lambdas`` (plus zeros) and diagonal
     ``diag``, in the caller's diagonal order.
 
+    The build keeps the factor W with S = W W^T: one column per peeled
+    block, holding the square roots of the block's values on its rows, and
+    every repair rotates two sparse rows of W. The dense S is formed once,
+    at the end, by ``_gram``, so S == S.T entry for entry.
+
     With ``return_plan=True`` also returns the pre-repair block-diagonal start
-    matrix and the MovePlan of repairs, so the run can be replayed.
+    matrix W0 W0^T (formed the same way) and the MovePlan of repairs. The
+    plan's Moves replayed on the rows of W0 (``moves.rotate_rows_inplace``)
+    give the final W bit for bit; ``plan.replay(start)`` rotates the dense
+    start instead and matches S to rounding.
     """
     violation = inp.first_violation()
     if violation is not None:
         raise ValueError(f"majorization fails: {violation}")
-    lam_desc = sorted(inp.lambdas, reverse=True)
-    order = sorted(range(len(inp.diag)), key=lambda k: -inp.diag[k])
-    vals = [inp.diag[k] for k in order]
-    blocks, peel_repairs = _plan_peels(lam_desc, vals, order)
-
-    n = len(inp.diag)
-    S = np.zeros((n, n))
-    for seg_vals, seg_idx in blocks:
-        block = _rank_one_block(seg_vals)
-        S[np.ix_(seg_idx, seg_idx)] = block
-
-    start = np.array(S) if return_plan else None
-    plan = MovePlan()
-    for repairs in reversed(peel_repairs):
-        for rec in repairs:
-            if isinstance(rec, Move):
-                rec.apply_inplace(S)
-                plan.append(rec)
-            else:
-                plan.append(rotate_to(S, *rec))
+    W, peel_repairs = _start_factor(inp)
+    n = len(W)
+    start = _gram(W, n) if return_plan else None
+    plan = _repair(W, peel_repairs)
+    S = _gram(W, n)
     if return_plan:
         return S, start, plan
     return S
 
 
-def _rank_one_block(seg_vals) -> np.ndarray:
-    d = np.clip(np.asarray(seg_vals, dtype=float), 0.0, None)
-    r = np.sqrt(d)
-    block = np.outer(r, r)
-    np.fill_diagonal(block, d)
-    return block
+def _start_factor(inp: MajorizationInput):
+    """Rows of the start factor W0, one ``{column: value}`` map per row, and
+    the planned repairs. Column k of W0 is the square root of the k-th
+    peeled block's values on its rows, so W0 W0^T is block diagonal with the
+    rank-one blocks; the blocks are disjoint and each row has at most one
+    nonzero."""
+    lam_desc = sorted(inp.lambdas, reverse=True)
+    order = sorted(range(len(inp.diag)), key=lambda k: -inp.diag[k])
+    vals = [inp.diag[k] for k in order]
+    blocks, peel_repairs = _plan_peels(lam_desc, vals, order)
+    W: list[dict[int, float]] = [{} for _ in order]
+    for col, (seg_vals, seg_idx) in enumerate(blocks):
+        roots = np.sqrt(np.clip(seg_vals, 0.0, None)).tolist()
+        for i, x in zip(seg_idx, roots):
+            if x:
+                W[i][col] = x
+    return W, peel_repairs
+
+
+def _repair(W: list[dict[int, float]], peel_repairs) -> MovePlan:
+    """Apply the planned repairs to the rows of W in place, last peel first,
+    and return them as Moves. A targeted repair (i, j, target) reads the
+    2x2 block of W W^T on (i, j) from the rows, with each sum over the
+    shared columns in ascending order, as ``_gram`` adds them."""
+    plan = MovePlan()
+    for repairs in reversed(peel_repairs):
+        for rec in repairs:
+            if not isinstance(rec, Move):
+                i, j, target = rec
+                wi, wj = W[i], W[j]
+                theta = _solve_rotation_angle(_dot(wi, wi), _dot(wj, wj), _dot(wi, wj), target)
+                rec = Move(i, j, math.cos(theta), math.sin(theta))
+            rotate_rows_inplace(W, rec.i, rec.j, rec.c, rec.s)
+            plan.append(rec)
+    return plan
+
+
+def _dot(a: dict[int, float], b: dict[int, float]) -> float:
+    """Sum of a[k] * b[k] over the shared columns k, ascending."""
+    total = 0.0
+    for k in sorted(a.keys() & b.keys()):
+        total += a[k] * b[k]
+    return total
+
+
+def _gram(W: list[dict[int, float]], n: int) -> np.ndarray:
+    """The dense n x n matrix W W^T from the rows of W.
+
+    Every pair of nonzeros in a column k gives the product W[i, k] * W[j, k]
+    for entry (i, j). The pairs go column by column, k ascending, and
+    ``np.bincount`` adds each product into its slot one after another, so
+    every entry is a sequential sum over its shared columns in ascending
+    order. (i, j) and (j, i) add the same products in the same order, and
+    the result is exactly symmetric.
+    """
+    rows = np.fromiter((i for i, row in enumerate(W) for _ in row), dtype=np.intp)
+    cols = np.fromiter((k for row in W for k in row), dtype=np.intp)
+    vals = np.fromiter((x for row in W for x in row.values()), dtype=float)
+    by_col = np.lexsort((rows, cols))
+    rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
+    col_nnz = np.bincount(cols)
+    partners = col_nnz[cols]  # the pairs each nonzero heads
+    starts = (np.cumsum(col_nnz) - col_nnz)[cols]  # its column's first nonzero
+    left = np.repeat(np.arange(cols.size), partners)
+    right = np.repeat(starts - (np.cumsum(partners) - partners), partners)
+    right += np.arange(right.size)
+    key = rows[left] * n
+    key += rows[right]
+    return np.bincount(key, weights=vals[left] * vals[right], minlength=n * n).reshape(n, n)

@@ -2,9 +2,16 @@
 
 Every spectrum-preserving step in the package is one record, a :class:`Move`
 (i, j, c, s): conjugation by the plane rotation on coordinates i and j with
-cosine c and sine s, applied by ``rotate_pair_inplace``. ``rotate_to`` picks
-the rotation that lands the (i, i) entry on a target, applies it and returns
-its Move; a :class:`MovePlan` lists Moves in order and replays them bitwise.
+cosine c and sine s, applied to a dense symmetric matrix by
+``rotate_pair_inplace`` and to the rows of a sparse factor W (the matrix
+W W^T) by ``rotate_rows_inplace``. ``rotate_to`` picks the rotation that
+lands the (i, i) entry on a target, applies it and returns its Move; a
+:class:`MovePlan` lists Moves in order. Replaying a plan repeats its
+rotations with the same arithmetic, so it reproduces bit for bit whatever
+the same rotations made from the same start: ``ops_restore``'s dense matrix,
+or the factor of ``horn_build``. A ``horn_build`` plan replayed on its dense
+start matrix matches the built matrix to rounding, not bitwise, because the
+build rotated the factor.
 
 ``ops_shift`` edits a diagonal sequence directly, moving a prescribed amount
 of mass off a low block (toward 0) and onto a high block (toward 1).
@@ -56,6 +63,29 @@ def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> No
     E[i, i] = e_ii
     E[j, j] = e_jj
     E[i, j] = E[j, i] = e_ij
+
+
+def rotate_rows_inplace(W: list[dict[int, float]], i: int, j: int, c: float, s: float) -> None:
+    """Rotate rows i and j of the factor ``W``, one ``{column: value}`` map
+    per row, in place: the conjugation of W W^T by the plane rotation G of
+    ``rotate_pair_inplace``, as G^T W.
+
+    The new rows are c*W[i] + s*W[j] and -s*W[i] + c*W[j], by the expressions
+    ``rotate_pair_inplace`` uses for the rows of a dense matrix, over the
+    union of the two rows' columns; exact zeros are dropped. The cost is the
+    two rows' supports, not the matrix size.
+    """
+    wi, wj = W[i], W[j]
+    ri, rj = {}, {}
+    for k in wi.keys() | wj.keys():
+        a, b = wi.get(k, 0.0), wj.get(k, 0.0)
+        x = c * a + s * b
+        y = -s * a + c * b
+        if x:
+            ri[k] = x
+        if y:
+            rj[k] = y
+    W[i], W[j] = ri, rj
 
 
 def _require_symmetric(E: np.ndarray) -> None:
@@ -148,7 +178,8 @@ class Move:
 
 @dataclass
 class MovePlan:
-    """Ordered list of recorded rotations; replaying reproduces the result."""
+    """Ordered list of recorded rotations; replaying them on the matrix they
+    were made on reproduces the result bit for bit."""
 
     moves: list[Move] = field(default_factory=list)
 

@@ -68,10 +68,9 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     0 or 1 (``_certified_rank``), that number is the rounded trace, and no
     eigensolver runs: a passing build verifies in the time of one matrix
     product. Otherwise (a perturbed, failing or non-finite matrix) the
-    eigenvalues are computed and counted. When the eigensolver does not
-    converge, as on a NaN in the lower triangle, the rank is 0: no eigenvalue
-    is known to exceed 1/2, as when it returns NaN eigenvalues for an
-    infinite entry. The NaN also fails the symmetry or diagonal check.
+    eigenvalues are computed and counted (``_counted_rank``). A NaN or an
+    infinity in the lower triangle gives rank 0 without an eigensolve; it
+    also fails the symmetry or diagonal check.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -92,11 +91,23 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     tr = float(np.trace(P))
     rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(p_norm_sq))
     if rank is None:
-        try:
-            rank = int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
-        except np.linalg.LinAlgError:
-            rank = 0
+        rank = _counted_rank(P)
     return VerificationReport(sym, idem, derr, tr, rank, tol)
+
+
+def _counted_rank(P: np.ndarray) -> int:
+    """The number of eigenvalues above 1/2 of the symmetric matrix on the
+    lower triangle of ``P``, which ``np.linalg.eigvalsh`` reads; 0 when that
+    triangle holds a NaN or an infinity, or the eigensolver does not converge:
+    no eigenvalue is then known to exceed 1/2. Whether LAPACK raises, returns
+    NaN or returns numbers on a non-finite entry varies with the matrix, so
+    such a triangle never reaches it."""
+    if not np.isfinite(np.tril(P)).all():
+        return 0
+    try:
+        return int(np.count_nonzero(np.linalg.eigvalsh(P) > 0.5))
+    except np.linalg.LinAlgError:
+        return 0
 
 
 def _norms(M: np.ndarray) -> tuple[float, float]:

@@ -306,22 +306,22 @@ def test_approximation_error_bounds_the_diagonal():
         assert res.report.all_pass, spec
 
 
-# sha256 of build(d).matrix.tobytes(), d = integer_sum_diagonal(default_rng(n), n).
-# n = 5 was recorded before the rotation records were merged into moves.Move;
-# 50 and 300 were re-recorded when the waterfall's slack became compensated.
+# sha256 of build(d).matrix.tobytes(), d = integer_sum_diagonal(default_rng(n), n),
+# re-recorded (with the full-pipeline and n = 1000 pins) when horn_build
+# moved to the factor W, S = W W^T.
 BUILD_DIGESTS = {
-    5: "3beea5d9818d4ad7714eb91167687249d2e463a763ba0b3a26d663ede7cf2a3f",
-    50: "5a06684474e67052a4fdbf8d954cfbee930ad5733fbb66509ed66fafc87867e7",
-    300: "e35e1b75d4b5110250b00ede34c624738609145ca01cc719b45a5042d5f2d941",
+    5: "a840236c5d5e74a77f1b1c226faf9bc965a2c91d35a0fde26e4b861557452633",
+    50: "8ff0d266290cfad8ab98e921125019a39482d774c006349001ee5adcf7a881b2",
+    300: "ce7ed6b30a35b398924e719f7d05c523c8cf9057d2251bbd5e550eb08ca4946d",
 }
-FULL_PIPELINE_DIGEST = "1b3aa5259df0fb360762d93a978850366d5607dee71481a15badc79a00a067ea"
+FULL_PIPELINE_DIGEST = "2a544cc5baced751895de33ef23688f5e88a51db5cde7e02f7cf795aba9b1c10"
 # n = 1000 from integer_sum_diagonal(default_rng(1000), 1000), where the peel
 # falls back to _waterfall dozens of times: sha256 of the matrix bytes and of
-# json.dumps(report.to_json_dict(), sort_keys=True), re-recorded when the
-# waterfall's slack became compensated (idempotence defect 9.7e-13 -> 1.1e-15).
+# json.dumps(report.to_json_dict(), sort_keys=True). The idempotence defect
+# was 9.7e-13 before the waterfall's slack was compensated and is 1.1e-15.
 BUILD_1000_DIGESTS = (
-    "c35e79107f84f962a67b90199d3d998280b289c3bc4514c2c5d7531cff3ef234",
-    "4f7406219f442899921c4e0664adda8c92ff82c499ac1fd153fd48bafd2125b9",
+    "962dc24681650d4deb08385d541dc07ad345d52cc8ebe0ab1d6b83d360d07b33",
+    "ad9f09d3c42696c6c8d914d1eab3c6b1ecb1bffe06a1c68b51b205e99209de48",
 )
 
 
@@ -400,7 +400,7 @@ def result_digests(res):
 
 # Corners of routes with no other pin, recorded before the corner assembly
 # was shared by every route; the two horn-backed constant-tail corners were
-# re-recorded when the waterfall's slack became compensated. Both case-II
+# re-recorded when horn_build moved to the factor W. Both case-II
 # specs carry exact 0s and 1s; the second has c > 1/2, so its two blocks
 # stream 1 - d.
 CORNER_SPECS = {
@@ -419,11 +419,11 @@ CORNER_DIGESTS = {
         "0feb321b9ff33d38ca683ac20ee63077b754fef910a697be24189e8921d43c37",
     ),
     "constant-0-tail": (
-        "866ad0d7d0a7bad15a1e4376f99b00d85b31c9b2dafe1d91360b99dd4ee5e3e9",
+        "8eac7303dcb2c0f6987fc47f4697391398678cb6738d59325bff97d34e8c1c4c",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
     "constant-1-tail": (
-        "ed10d454da1bc8003f2ddb4d3f60d06a72a8cb3ad3ab482f695ad5fa811e7893",
+        "5b550a71d3a6be98894109bd552125bc6ebf8c5afb88f7eead7875e7de5728b0",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
 }
@@ -436,8 +436,9 @@ def test_corner_bit_identical(name):
 
 
 # random_approximate_spec(default_rng(7)) at epsilon 1e-3: sha256 of the
-# matrix bytes, and the reported bound.
-POWER_APPROX_PIN = ("a025024000533a65355226138e79e8da07cac6628c702fb18848bf448f857866", 0.0009629343740758971)
+# matrix bytes (re-recorded when horn_build moved to the factor W), and the
+# reported bound, which that did not move.
+POWER_APPROX_PIN = ("0a28d5a58ab33ca21be7c18fe7ffc1f5db8a71d9f5da956558fff45962e36b8d", 0.0009629343740758971)
 
 
 def test_power_approximate_bit_identical():

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from carpenter import MajorizationInput, Move, horn_build
+from carpenter import MajorizationInput, Move, check_projection, horn_build
+from carpenter import horn
 from carpenter.horn import _prefix_majorized, _waterfall
+from carpenter.moves import rotate_rows_inplace
 
 
 def random_majorization_input(rng, n_max=20, m_max=60):
@@ -161,8 +163,9 @@ def test_horn_build_rank_two_constant_diagonal():
     # cos^2 = alpha = 1/2
     assert len(plan) == 1
     assert plan.moves[0].c ** 2 == pytest.approx(0.5, abs=1e-12)
-    # replay is bitwise: the plan records exactly the applied rotations
-    assert np.array_equal(plan.replay(start), S)
+    # replay is bitwise on the factor: the plan records exactly the applied
+    # rotations
+    assert replayed_factor_matches(inp)
 
 
 def test_horn_build_already_diagonal():
@@ -212,19 +215,92 @@ def test_horn_build_replay_matches():
         assert np.max(np.abs(plan.replay(start) - S)) <= 1e-12
 
 
-# sha256 of S.tobytes() and of plan.replay(start).tobytes(), recorded before
-# the repair records became Moves (kind/parameter pairs then). Cases 0-5 come
-# from random_majorization_input(default_rng(7), n_max=8, m_max=24); case 0
-# plans both kinds of repair, case 4 none. "heavy" is the waterfall input of
-# test_horn_build_heavy_head.
+def factor_bytes(W):
+    return [(sorted(row), np.array([row[k] for k in sorted(row)]).tobytes()) for row in W]
+
+
+def replayed_factor_matches(inp):
+    """Replay horn_build's plan on the rows of the start factor and compare
+    the result, and its Gram matrix, with the build's own, bit for bit."""
+    S, _, plan = horn_build(inp, return_plan=True)
+    W, repairs = horn._start_factor(inp)
+    W0 = [dict(row) for row in W]
+    assert horn._repair(W, repairs) == plan
+    for m in plan.moves:
+        rotate_rows_inplace(W0, m.i, m.j, m.c, m.s)
+    return factor_bytes(W0) == factor_bytes(W) and np.array_equal(horn._gram(W0, len(W0)), S)
+
+
+def test_factor_replay_is_bitwise():
+    rng = np.random.default_rng(5)
+    inputs = [random_majorization_input(rng, n_max=8, m_max=24) for _ in range(10)]
+    inputs.append(MajorizationInput((1.0,) * 4, (0.8,) * 5))
+    for inp in inputs:
+        assert replayed_factor_matches(inp), inp
+
+
+def pinned_projection_input(n):
+    """The core horn_build gets from build(integer_sum_diagonal(default_rng(n), n))
+    for n = 300 and 1000: every entry, rank = the sum (both sums lie below n / 2)."""
+    rng = np.random.default_rng(n)
+    d = rng.uniform(0.0, 1.0, size=n).tolist()
+    s = math.fsum(d[:-1])
+    d[-1] = math.ceil(s) - s
+    return MajorizationInput((1.0,) * round(math.fsum(d)), d)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_factor_build_is_symmetric_and_matches_dense_replay(n):
+    S, start, plan = horn_build(pinned_projection_input(n), return_plan=True)
+    assert np.array_equal(S, S.T)
+    assert np.array_equal(start, start.T)
+    assert np.max(np.abs(plan.replay(start) - S)) <= 1e-14
+
+
+def test_idempotence_defect_at_4000():
+    # the exact-mass gate: the defect was 1.9e-11 before the waterfall's
+    # slack was compensated, 3.7e-14 after
+    inp = pinned_projection_input(4000)
+    S = horn_build(inp)
+    assert np.array_equal(S, S.T)
+    assert check_projection(S, inp.diag).idempotence_defect <= 1e-13
+
+
+# sha256 of S.tobytes() and of plan.replay(start).tobytes(), re-recorded when
+# the build moved to the factor W (S = W W^T, so the start's diagonal is the
+# square of the factor's entries and the dense replay matches S to rounding).
+# Cases 0-5 come from random_majorization_input(default_rng(7), n_max=8,
+# m_max=24); case 0 plans both kinds of repair, case 4 none. "heavy" is the
+# waterfall input of test_horn_build_heavy_head.
 HORN_DIGESTS = {
-    0: "56b954680a70dcd8fbfb821cd66c8c4019600adf7889d234548475dc6de9ac84",
-    1: "d0e742ab4cb5d6ffdbbd4c71e758b9ec0169545c9a648d526f34fa2fdb218ac2",
-    2: "80f82330a8475a74740310336656657d063c2178c300292e43be44c884290e8c",
-    3: "c2b8f4fc6c190f5eac43a8b443f99e8cba1a1e764a6b158a5f0f814e5c6bc96b",
-    4: "2f997d4533a15257f1a1d19086498014cc80aa01a942390cc24cedcb9d68af0c",
-    5: "b369e8cf8857c44c96e5c49af996b6aeea9c209cf295a4b974e0fac553fa4154",
-    "heavy": "81ca27c8e767e3c4a343807374ce491610dee4d22ffddd1c15927583aed744a9",
+    0: (
+        "612f59ec2afbf2e24249bdcf69697b64e445c4aaa945aaf475c72937add76b1b",
+        "a9bb0698c7ad2d5399653f0013c34db4efd21a751d102e10286f2f25949712fc",
+    ),
+    1: (
+        "b197c4dd7ade34ce16c6b4af72087021822d2e534d17c16dc1424b1fea49d683",
+        "01b0a1ab059d14b922c5d76f50fae2e73200973c20fa19d9571d97717f382bfa",
+    ),
+    2: (
+        "91494b5557b912394058aa934ed556c5c66a3bd67f4e528e834cd0d93d11db86",
+        "7610638703ecd455386babce73e006a5c17f2007b9478ba40592450035a044ba",
+    ),
+    3: (
+        "75d0828e5363d1d7912d1fb2dc0cd69f1b654936ea1ea765b8b26366202f6575",
+        "d9cd73023347b44cef1655f03a4c7023f9f89889321a78ff3ee77f27dc6d7256",
+    ),
+    4: (
+        "dbb382efbff20bfe24f90371279fc9b19b7d4c55c6dd7b6fcfdd36420131b87d",
+        "dbb382efbff20bfe24f90371279fc9b19b7d4c55c6dd7b6fcfdd36420131b87d",
+    ),
+    5: (
+        "3655afc17298cf9ba85fc6cde795c5c4a15cc8104fe61c1c42ed6f0f0f0c42dd",
+        "a2b8af238704b1494ace24b9c43735224854c580c6e4791ec9a350694c62f551",
+    ),
+    "heavy": (
+        "cb64b6293a53806918c471bde3b28660fa65ff8966e2b2ea3d6f3c0a1c94960b",
+        "9ed92f6cc48e064021799bc5a55eb0516647d85988098c3b8b17a7d09886b7ed",
+    ),
 }
 
 
@@ -234,5 +310,5 @@ def test_horn_build_bit_identical():
     cases["heavy"] = MajorizationInput((1.0,) * 4, (0.8,) * 5)
     for key, inp in cases.items():
         S, start, plan = horn_build(inp, return_plan=True)
-        assert hashlib.sha256(S.tobytes()).hexdigest() == HORN_DIGESTS[key], key
-        assert hashlib.sha256(plan.replay(start).tobytes()).hexdigest() == HORN_DIGESTS[key], key
+        got = (hashlib.sha256(S.tobytes()).hexdigest(), hashlib.sha256(plan.replay(start).tobytes()).hexdigest())
+        assert got == HORN_DIGESTS[key], key

@@ -1,13 +1,19 @@
-"""The benchmark's tracer must find every function it is told to time, and
-the package reads no environment."""
+"""The benchmark's tracer must find every function it is told to time, finite
+builds must go through the function it times, and the package reads no
+environment."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import carpenter  # noqa: F401  (Tracer.install wraps the loaded modules)
+import carpenter.builder
 import carpenter.cli  # noqa: F401
+from carpenter import BuildOptions, build
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -35,6 +41,33 @@ def test_tracer_targets_resolve():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize(
+    "pipeline, d",
+    [
+        ("shortcut", [0.25, 0.5, 0.75, 0.9, 0.6, 0.3, 0.2, 0.5]),
+        ("full", [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]),
+    ],
+)
+def test_finite_builds_call_the_traced_horn_build(monkeypatch, pipeline, d):
+    # The tracer times finite builds by rebinding carpenter.builder.horn_build;
+    # a build that reached the construction some other way would drop out of
+    # the horn.horn_build span and its n_rank count.
+    options = BuildOptions(pipeline=pipeline)
+    plain = build(d, options)
+    original = carpenter.builder.horn_build
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0].diag))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(carpenter.builder, "horn_build", counted)
+    traced = build(d, options)
+    assert plain.notices == traced.notices == []
+    assert calls and sum(calls) == len(d)
+    assert np.array_equal(traced.matrix, plain.matrix)
 
 
 def test_package_reads_no_environment():
