@@ -301,22 +301,27 @@ def _gram(W: list[dict[int, float]], n: int) -> np.ndarray:
 
     Every pair of nonzeros in a column k gives the product W[i, k] * W[j, k]
     for entry (i, j). The pairs go column by column, k ascending, and
-    ``np.bincount`` adds each product into its slot one after another, so
+    ``np.add.at`` adds each product into its slot one after another, so
     every entry is a sequential sum over its shared columns in ascending
     order. (i, j) and (j, i) add the same products in the same order, and
-    the result is exactly symmetric.
+    the result is exactly symmetric. The matrix is allocated before the pair
+    arrays, so that freeing them leaves no gap below it in the heap.
     """
+    S = np.zeros((n, n))
     rows = np.fromiter((i for i, row in enumerate(W) for _ in row), dtype=np.intp)
     cols = np.fromiter((k for row in W for k in row), dtype=np.intp)
     vals = np.fromiter((x for row in W for x in row.values()), dtype=float)
-    by_col = np.lexsort((rows, cols))
+    by_col = cols.argsort(kind="stable")  # rows stay ascending in a column
     rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
     col_nnz = np.bincount(cols)
     partners = col_nnz[cols]  # the pairs each nonzero heads
     starts = (np.cumsum(col_nnz) - col_nnz)[cols]  # its column's first nonzero
-    left = np.repeat(np.arange(cols.size), partners)
+    # each pair's right factor: the nonzeros of its column, in order
     right = np.repeat(starts - (np.cumsum(partners) - partners), partners)
     right += np.arange(right.size)
-    key = rows[left] * n
+    key = np.repeat(rows * n, partners)
     key += rows[right]
-    return np.bincount(key, weights=vals[left] * vals[right], minlength=n * n).reshape(n, n)
+    w = np.repeat(vals, partners)
+    w *= vals[right]
+    np.add.at(S.reshape(-1), key, w)
+    return S

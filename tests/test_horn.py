@@ -173,6 +173,14 @@ def test_horn_build_already_diagonal():
     assert np.array_equal(S, np.diag([1.0, 0.0, 0.0]))
 
 
+def test_horn_build_all_zero_diagonal_is_a_float_matrix():
+    # the total 5e-324 is within MAJORIZATION_TOL of the zero diagonal, and
+    # the start factor has no nonzero at all
+    S = horn_build(MajorizationInput((5e-324,), (0.0, 0.0)))
+    assert S.dtype == np.float64
+    assert np.array_equal(S, np.zeros((2, 2)))
+
+
 def test_horn_build_beyond_projections():
     S = horn_build(MajorizationInput((2.0, 1.0), (1.0, 1.0, 1.0)))
     assert np.allclose(np.diag(S), 1.0, atol=1e-10)
