@@ -6,12 +6,10 @@ cosine c and sine s, applied to a dense symmetric matrix by
 ``rotate_pair_inplace`` and to the rows of a sparse factor W (the matrix
 W W^T) by ``rotate_rows_inplace``. ``rotate_to`` picks the rotation that
 lands the (i, i) entry on a target, applies it and returns its Move; a
-:class:`MovePlan` lists Moves in order. Replaying a plan repeats its
-rotations with the same arithmetic, so it reproduces bit for bit whatever
-the same rotations made from the same start: ``ops_restore``'s dense matrix,
-or the factor of ``horn_build``. A ``horn_build`` plan replayed on its dense
-start matrix matches the built matrix to rounding, not bitwise, because the
-build rotated the factor.
+:class:`MovePlan` lists Moves in order. Replayed on what they were made on
+(``ops_restore``'s dense matrix, ``horn_build``'s factor), the Moves
+reproduce the result bit for bit; a ``horn_build`` plan replayed on its dense
+start matrix matches the built matrix to rounding only.
 
 ``ops_shift`` edits a diagonal sequence directly, moving a prescribed amount
 of mass off a low block (toward 0) and onto a high block (toward 1).

@@ -10,6 +10,7 @@ from carpenter import MajorizationInput, Move, check_projection, horn_build
 from carpenter import horn
 from carpenter.horn import _prefix_majorized, _waterfall
 from carpenter.moves import rotate_rows_inplace
+from test_builder import integer_sum_diagonal
 
 
 def random_majorization_input(rng, n_max=20, m_max=60):
@@ -250,10 +251,7 @@ def test_factor_replay_is_bitwise():
 def pinned_projection_input(n):
     """The core horn_build gets from build(integer_sum_diagonal(default_rng(n), n))
     for n = 300 and 1000: every entry, rank = the sum (both sums lie below n / 2)."""
-    rng = np.random.default_rng(n)
-    d = rng.uniform(0.0, 1.0, size=n).tolist()
-    s = math.fsum(d[:-1])
-    d[-1] = math.ceil(s) - s
+    d = integer_sum_diagonal(np.random.default_rng(n), n)
     return MajorizationInput((1.0,) * round(math.fsum(d)), d)
 
 
