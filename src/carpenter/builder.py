@@ -143,10 +143,13 @@ def _build_summable(d) -> np.ndarray:
 
 def _build_cosummable(d) -> np.ndarray:
     """Projection with diagonal ``d`` where sum(1 - d) is an integer:
-    the complement I - Q of a summable build Q on 1 - d."""
-    vals = [float(x) for x in d]
-    Q = _build_summable([1.0 - v for v in vals])
-    return np.eye(len(vals)) - Q
+    the complement I - Q of a summable build Q on 1 - d, formed in Q's own
+    array: 0 - q is exact and then adding 1 rounds as 1 - q does, with no
+    -0.0 (which ``np.negative`` would give)."""
+    Q = _build_summable([1.0 - float(x) for x in d])
+    np.subtract(0.0, Q, out=Q)
+    Q.flat[:: len(Q) + 1] += 1.0
+    return Q
 
 
 def _corner(dim: int, blocks, ones=()) -> np.ndarray:

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
+from .tetris import _SCALE, _exact
 
 MAJORIZATION_TOL = 1e-10
 
@@ -171,6 +173,9 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     blocks: list[tuple[np.ndarray, list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
     lam_run = np.cumsum(lam_desc)
+    # exact prefix sums in units of 2**-1074; int true division rounds to
+    # nearest, ties to even, so exact[k] / _SCALE == fsum(lam_desc[: k + 1])
+    exact = list(accumulate(map(_exact, lam_desc)))
     vals = np.asarray(vals, dtype=float)
     r = len(lam_desc)
     while r >= 2:
@@ -191,7 +196,7 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
         head_vals = vals[: m0 - 1]
         head_idx = idx[: m0 - 1]
         lam_run_head = lam_run[: r - 1]
-        tol = 1e-12 * max(1.0, math.fsum(lam_desc[: r - 1]))
+        tol = 1e-12 * max(1.0, exact[r - 2] / _SCALE)
         last = float(head_vals[-1])
         bump = last + delta
         # the bump goes before the first earlier entry below it; the last

@@ -56,11 +56,14 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
     target diagonal ``d``, plus the trace and a rank.
 
     The idempotence defect is the max-norm over every entry of P @ P - P.
-    A built projection has a few nonzeros per row, so the product is formed
-    from P's nonzero pairs (``_pair_square``) whenever there are at most n^2
-    of them; a dense matrix (a perturbed one, as ``carpenter verify`` gets)
-    and any matrix with a non-finite entry go through the dense product
-    instead, so NaN and inf report as they always have.
+    A built projection has a few nonzeros per row, so whenever ``P`` is
+    finite with at most n^2 nonzero pairs both defects are read from its
+    nonzeros (``_sparse_defects``): no n x n array is made besides the
+    nonzero mask. A dense matrix (a perturbed one, as ``carpenter verify``
+    gets) and any matrix with a non-finite entry go through P - P^T and the
+    dense product instead, so NaN and inf report as they always have. The
+    two routes give the same symmetry defect bit for bit; the idempotence
+    defects differ only by the rounding of dgemm's summation order.
 
     The rank is the number of eigenvalues above 1/2 of the symmetric matrix
     that ``np.linalg.eigvalsh`` reads, the lower triangle of ``P``. When the
@@ -81,15 +84,18 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
         raise ValueError(f"diagonal length {target.size} does not match matrix size {n}")
     if n == 0:
         return VerificationReport(0.0, 0.0, 0.0, 0.0, 0, tol)
-    sym, skew_norm = _norms(P - P.T)
-    p_norm_sq = float(np.vdot(P, P))
-    # a non-finite entry makes the norm non-finite too
-    D = _square(P) if math.isfinite(p_norm_sq) else P @ P
-    D -= P
-    idem, defect_norm = _norms(D)
+    defects = _sparse_defects(P)
+    if defects is None:
+        sym, skew_norm = _norms(P - P.T)
+        p_norm = math.sqrt(float(np.vdot(P, P)))
+        D = P @ P
+        D -= P
+        idem, defect_norm = _norms(D)
+    else:
+        sym, skew_norm, idem, defect_norm, p_norm = defects
     derr = float(np.max(np.abs(np.diagonal(P) - target)))
     tr = float(np.trace(P))
-    rank = _certified_rank(n, tr, skew_norm, defect_norm, math.sqrt(p_norm_sq))
+    rank = _certified_rank(n, tr, skew_norm, defect_norm, p_norm)
     if rank is None:
         rank = _counted_rank(P)
     return VerificationReport(sym, idem, derr, tr, rank, tol)
@@ -116,49 +122,61 @@ def _norms(M: np.ndarray) -> tuple[float, float]:
     return abs(float(max(M.max(), -M.min()))), math.sqrt(float(np.vdot(M, M)))
 
 
-def _square(P: np.ndarray) -> np.ndarray:
-    """P @ P of a finite ``P``: from its nonzero pairs when it has at most
-    n^2 of them, else by the dense product.
+def _sparse_defects(P: np.ndarray):
+    """Max-norms and Frobenius norms of P - P^T and P @ P - P, and the
+    Frobenius norm of P, from the nonzeros of ``P``; None when ``P`` has a
+    non-finite entry or more than n^2 nonzero pairs. Nonzero (i, k) pairs
+    with every nonzero of row k, so the pair count is read off the nonzero
+    counts before any index array is made.
 
-    Nonzero (i, k) pairs with every nonzero of row k, so the pair count
-    sum_k colnnz(k) * rownnz(k) is read off the nonzero counts before any
-    index array is made.
+    Entry (i, j) of P - P^T is P[i, j] - P[j, i]: its max-norm is the
+    largest over the nonzeros (i, j), and its squared Frobenius norm adds
+    P[i, j]^2 once more for each nonzero whose mirror is zero, for (j, i).
+
+    ``np.bincount`` adds each product P[i, k] * P[k, j] into its (i, j)
+    slot one after another, k ascending, so every entry is a sequential sum
+    of at most n products, as in the schoolbook triple loop (the products of
+    a zero are exact zeros and are skipped). Rows go in blocks of about
+    n^2 / 16 pairs, at least 4096 (so a small matrix is one block) and at
+    most 2^15, and of at most 2^17 entries of the product (1 MB), so a
+    block stays in cache. Each block has P's nonzeros in its rows
+    subtracted in place, gives its max, -min and sum of squares, and is
+    dropped: besides the n^2-byte nonzero mask nothing here grows as n^2.
+
+    The max-norms equal the dense formulas' with the schoolbook product bit
+    for bit; the Frobenius norms differ only in the order of summation.
     """
     n = P.shape[0]
     mask = P != 0.0
     row_nnz = np.count_nonzero(mask, axis=1)
     col_nnz = np.count_nonzero(mask, axis=0)
     if int(col_nnz @ row_nnz) > n * n:
-        return P @ P
-    return _pair_square(P, mask, row_nnz)
-
-
-def _pair_square(P: np.ndarray, mask: np.ndarray, row_nnz: np.ndarray) -> np.ndarray:
-    """P @ P as the sums of the products P[i, k] * P[k, j] of nonzeros.
-
-    ``np.bincount`` adds each product into its (i, j) slot one after another
-    in pair order, and the pairs of row i come with k ascending, so every
-    entry is a sequential sum of at most n products, as in the schoolbook
-    triple loop; the products of a zero are exact zeros and are skipped.
-    Rows go in blocks of about n^2 / 16 pairs, at least 4096 (so a small
-    matrix is one block) and at most 2^15 (so a block's arrays stay in
-    cache): the pair arrays take at most about a third of one n x n array,
-    or 160 KB where that is more.
-    """
-    n = P.shape[0]
+        return None
     flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, n)
+    del mask
     vals = P.ravel()[flat]
+    p_norm_sq = float(vals @ vals)
+    if not math.isfinite(p_norm_sq):  # a non-finite entry makes the norm non-finite too
+        return None
+    rows, cols = np.divmod(flat, n)
+    mirror = P[cols, rows]
+    diff = vals - mirror
+    lone = vals[mirror == 0.0]
+    sym = float(np.abs(diff).max(initial=0.0))
+    skew_norm = math.sqrt(float(diff @ diff) + float(lone @ lone))
+
     nz_end = np.cumsum(row_nnz)
     starts = nz_end - row_nnz  # position of each row's first nonzero
     partners = row_nnz[cols]  # the pairs each nonzero (i, k) heads
     pair_end = np.concatenate(([0], np.cumsum(partners)))[nz_end]  # pairs through row r
     budget = max(4096, min(n * n // 16, 1 << 15))
-    out = np.empty((n, n))
+    max_rows = max(1, (1 << 17) // n)
+    idem = defect_sq = 0.0
     r0 = 0
     while r0 < n:
         done = int(pair_end[r0 - 1]) if r0 else 0
         r1 = max(r0 + 1, int(pair_end.searchsorted(done + budget, side="right")))
+        r1 = min(r1, r0 + max_rows)
         a, b = starts[r0], nz_end[r1 - 1]
         counts = partners[a:b]
         # each pair's right factor: the nonzeros of row k, in order
@@ -168,20 +186,25 @@ def _pair_square(P: np.ndarray, mask: np.ndarray, row_nnz: np.ndarray) -> np.nda
         key += cols[right]
         w = np.repeat(vals[a:b], counts)
         w *= vals[right]
-        # with no pair at all bincount returns int64 zeros; out casts them
-        out[r0:r1] = np.bincount(key, weights=w, minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+        # with no pair at all bincount returns int64 zeros
+        D = np.bincount(key, weights=w, minlength=(r1 - r0) * n).astype(float, copy=False)
+        D[flat[a:b] - r0 * n] -= vals[a:b]  # minus P's rows, zero off their nonzeros
+        idem = max(idem, D.max(), -D.min())
+        defect_sq += float(D @ D)
         r0 = r1
-    return out
+    return sym, skew_norm, abs(float(idem)), math.sqrt(defect_sq), math.sqrt(p_norm_sq)
 
 
 def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_norm: float) -> int | None:
     """``round(tr)`` when it provably counts the eigenvalues above 1/2, else None.
 
     ``skew_norm``, ``defect_norm`` and ``p_norm`` are the Frobenius norms of
-    the computed P - P^T, P @ P - P and of P. Let A be the symmetric matrix
+    the computed P - P^T, P @ P - P and of P: summed over the whole arrays
+    on the dense route, over P's nonzeros and the product's row blocks on
+    ``_sparse_defects``' route. Let A be the symmetric matrix
     on P's lower triangle and E = A - P, so ||E||_2 <= e = skew_norm / sqrt(2)
     and ||P||_2 <= f = p_norm. Each entry of the computed product is a sum of
-    at most n products, whether dgemm forms it or ``_pair_square`` adds the
+    at most n products, whether dgemm forms it or ``_sparse_defects`` adds the
     nonzero ones in sequence, so it is off by at most gamma_n times the sum
     of the products' magnitudes (gamma_n = n u / (1 - n u), u the unit
     roundoff): the true P^2 - P differs from the computed one by at most
@@ -193,9 +216,11 @@ def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_n
     With eps < 1/4 each mu lies within 2 eps of 0 or 1, so the trace (which
     A shares with P) is within 2 n eps of the count above 1/2; the computed
     trace is off by at most gamma_n sqrt(n) f more. Asking for 1/4 where 1/2
-    would do leaves room for the rounding of this bound itself and keeps
-    every eigenvalue 1/4 away from 1/2, far beyond eigvalsh's own error. A
-    NaN anywhere fails the comparison.
+    would do leaves a 2x margin: it covers the rounding of this bound and of
+    the three norms, whose sums of at most n^2 squares are off by a relative
+    n^2 u or less in either summation order, and it keeps every eigenvalue
+    1/4 away from 1/2, far beyond eigvalsh's own error. A NaN anywhere fails
+    the comparison.
     """
     u = np.finfo(float).eps / 2.0
     gamma = n * u / (1.0 - n * u)

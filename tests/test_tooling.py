@@ -51,23 +51,33 @@ def test_tracer_targets_resolve():
     ],
 )
 def test_finite_builds_call_the_traced_horn_build(monkeypatch, pipeline, d):
-    # The tracer times finite builds by rebinding carpenter.builder.horn_build;
-    # a build that reached the construction some other way would drop out of
-    # the horn.horn_build span and its n_rank count.
+    # The tracer times finite builds by rebinding carpenter.builder.horn_build
+    # and carpenter.builder.check_projection; a build that reached the
+    # construction or the verifier some other way, or verified more than
+    # once, would drop out of the horn.horn_build span and its n_rank count
+    # or skew the verify.check_projection span.
     options = BuildOptions(pipeline=pipeline)
     plain = build(d, options)
-    original = carpenter.builder.horn_build
-    calls = []
+    original_build = carpenter.builder.horn_build
+    original_check = carpenter.builder.check_projection
+    calls, checks = [], []
 
     def counted(*args, **kwargs):
         calls.append(len(args[0].diag))
-        return original(*args, **kwargs)
+        return original_build(*args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        checks.append(len(args[0]))
+        return original_check(*args, **kwargs)
 
     monkeypatch.setattr(carpenter.builder, "horn_build", counted)
+    monkeypatch.setattr(carpenter.builder, "check_projection", counted_check)
     traced = build(d, options)
     assert plain.notices == traced.notices == []
     assert calls and sum(calls) == len(d)
+    assert checks == [len(d)]
     assert np.array_equal(traced.matrix, plain.matrix)
+    assert traced.report == plain.report
 
 
 def test_package_reads_no_environment():

@@ -1,12 +1,15 @@
 """Defect reports, Gram checks, and the random-projection integrality probe."""
 
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carpenter import (
+    BuildOptions,
     ConstantTail,
     DiagonalSpec,
     SparseRow,
@@ -172,44 +175,124 @@ PAIR_CASES = {
     "one-by-one": np.array([[0.7]]),
     # more than n^2 / 16 pairs, so the rows go in several blocks
     "row-blocks": banded_projection_like(400, 7),
+    # one pair per row: the blocks are cut at 2^17 product entries
+    "diagonal": np.diag(np.linspace(-1.0, 1.0, 400)),
 }
 
 
-@pytest.fixture
-def pair_calls(monkeypatch):
-    real = verify._pair_square
-    calls = []
+def dense_defects(P, square):
+    # _sparse_defects' fields from the dense formulas, with ``square`` for P @ P
+    S = P - P.T
+    D = square - P
+    return (np.abs(S).max(), np.linalg.norm(S), np.abs(D).max(), np.linalg.norm(D), np.linalg.norm(P))
 
-    def spy(P, *args):
-        calls.append(P.shape)
-        return real(P, *args)
 
-    monkeypatch.setattr(verify, "_pair_square", spy)
-    return calls
+def assert_defects_match(got, want):
+    # max-norms bit for bit; Frobenius norms up to the summation order
+    sym, skew, idem, defect, p_norm = got
+    assert (sym, idem) == (want[0], want[2])
+    assert (skew, defect, p_norm) == pytest.approx((want[1], want[3], want[4]), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_CASES))
-def test_pair_product_matches_dense_product(pair_calls, name):
+def test_pair_product_matches_dense_product(name):
     P = PAIR_CASES[name]
-    n = P.shape[0]
-    got = verify._square(P)
-    assert pair_calls == [P.shape]
-    assert got.dtype == np.float64 and got.shape == P.shape
-    assert np.array_equal(got, k_ordered_square(P))
-    u = np.finfo(float).eps / 2
-    gamma = n * u / (1 - n * u)
-    assert np.linalg.norm(got - P @ P) <= gamma * np.vdot(P, P)
+    got = verify._sparse_defects(P)
+    assert got is not None
+    assert_defects_match(got, dense_defects(P, k_ordered_square(P)))
 
 
-def test_dense_and_non_finite_matrices_take_the_dense_product(pair_calls):
+def test_dense_and_non_finite_matrices_take_the_dense_product():
     P = np.random.default_rng(5).standard_normal((40, 40))
-    assert verify._square(P).tobytes() == (P @ P).tobytes()
-    assert pair_calls == []
+    assert verify._sparse_defects(P) is None
+    rep = check_projection(P, [0.0] * len(P))
+    assert rep.symmetry_defect == np.abs(P - P.T).max()
+    assert rep.idempotence_defect == np.abs(P @ P - P).max()
     Q = PAIR_CASES["sparse-symmetric"].copy()
     Q[3, 4] = math.nan
+    assert verify._sparse_defects(Q) is None
     with np.errstate(invalid="ignore"):
-        check_projection(Q, [0.0] * len(Q))
-    assert pair_calls == []
+        rep = check_projection(Q, [0.0] * len(Q))
+    assert math.isnan(rep.symmetry_defect) and math.isnan(rep.idempotence_defect)
+
+
+def test_dense_matrix_falls_back_before_indexing():
+    # The nonzero counts decide the route: a dense matrix gets no index
+    # arrays, which would take 8 bytes for each of its n^2 nonzeros.
+    P = np.random.default_rng(6).standard_normal((400, 400))
+    tracemalloc.start()
+    try:
+        assert verify._sparse_defects(P) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P.size * 2
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_build(n, pipeline="shortcut"):
+    d = integer_sum_diagonal(np.random.default_rng(n), n)
+    P = build(d, BuildOptions(pipeline=pipeline)).matrix
+    P.setflags(write=False)
+    return d, P
+
+
+def assert_report_matches_dense(Q, d):
+    # the report against numpy's dense formulas: every field exactly, but
+    # the idempotence defect within rounding of dgemm's summation order
+    rep = check_projection(Q, d)
+    assert rep.symmetry_defect == np.abs(Q - Q.T).max()
+    assert abs(rep.idempotence_defect - np.abs(Q @ Q - Q).max()) <= 1e-15
+    assert rep.diagonal_max_error == np.abs(np.diagonal(Q) - d).max()
+    assert rep.trace == np.trace(Q)
+    assert rep.estimated_rank == count_above_half(Q)
+
+
+@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
+@pytest.mark.parametrize("n", [5, 50, 300, 1000])
+def test_report_matches_dense_formulas_on_builds(n, pipeline):
+    d, P = pinned_build(n, pipeline)
+    assert_report_matches_dense(P, d)
+
+
+def test_lone_mirror_counts_in_the_skew_norm():
+    # zero one entry above the diagonal: its mirror below is then a nonzero
+    # whose own mirror is 0.0, and the skew norm needs its lone-mirror term
+    d, P = pinned_build(300)
+    Q = P.copy()
+    i, j = np.argwhere(np.triu(Q, 1) != 0.0)[0]
+    Q[i, j] = 0.0
+    got = verify._sparse_defects(Q)
+    assert got is not None
+    assert_defects_match(got, dense_defects(Q, k_ordered_square(Q)))
+    assert_report_matches_dense(Q, d)
+
+
+def test_sparse_perturbations_on_both_sides_of_the_certificate(eigvalsh_calls):
+    d, P = pinned_build(300)
+    rng = np.random.default_rng(7)
+    Z = np.zeros_like(P)
+    Z[rng.integers(0, 300, 6), rng.integers(0, 300, 6)] = rng.standard_normal(6)
+    for t, certified in ((1e-9, True), (1e-2, False)):
+        Q = P + t * Z
+        assert verify._sparse_defects(Q) is not None
+        eigvalsh_calls.clear()
+        check_projection(Q, d)
+        assert (not eigvalsh_calls) is certified
+        assert_report_matches_dense(Q, d)
+
+
+def test_verifying_a_build_makes_no_dense_temporary():
+    # Verifying the pinned n = 1000 build allocates less than one n x n
+    # float array: the nonzero mask is n^2 bytes, the rest O(nonzeros + pairs).
+    d, P = pinned_build(1000)
+    tracemalloc.start()
+    try:
+        assert check_projection(P, d).all_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P.nbytes
 
 
 # Report fields of build(integer_sum_diagonal(default_rng(n), n)).report as
