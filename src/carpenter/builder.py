@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -141,15 +142,18 @@ def _build_summable(d) -> np.ndarray:
     return _corner(n, [(core_idx, S)])
 
 
-def _build_cosummable(d) -> np.ndarray:
-    """Projection with diagonal ``d`` where sum(1 - d) is an integer:
-    the complement I - Q of a summable build Q on 1 - d, formed in Q's own
-    array: 0 - q is exact and then adding 1 rounds as 1 - q does, with no
-    -0.0 (which ``np.negative`` would give)."""
-    Q = _build_summable([1.0 - float(x) for x in d])
+def _complement_inplace(Q: np.ndarray) -> np.ndarray:
+    """I - Q, formed in Q's own array: 0 - q is exact and then adding 1
+    rounds as 1 - q does, with no -0.0 (which ``np.negative`` would give)."""
     np.subtract(0.0, Q, out=Q)
     Q.flat[:: len(Q) + 1] += 1.0
     return Q
+
+
+def _build_cosummable(d) -> np.ndarray:
+    """Projection with diagonal ``d`` where sum(1 - d) is an integer:
+    the complement I - Q of a summable build Q on 1 - d."""
+    return _complement_inplace(_build_summable([1.0 - float(x) for x in d]))
 
 
 def _corner(dim: int, blocks, ones=()) -> np.ndarray:
@@ -319,7 +323,6 @@ class CaseTwoPlan:
     heads: list[int]
     stride: int
     complemented: bool
-    kadison: KadisonReport
     trivial_ones: list[int]
     trivial_zeros: list[int]
 
@@ -327,13 +330,8 @@ class CaseTwoPlan:
 def _block_source(spec: DiagonalSpec, skip: frozenset[int], head, block: int, stride: int):
     if head is not None:
         yield head
-    t = 0
-    for i, v in enumerate(spec.values()):
-        if i in skip:
-            continue
-        if t % stride == block:
-            yield (i, v)
-        t += 1
+    dealt = ((i, v) for i, v in enumerate(spec.values()) if i not in skip)
+    yield from islice(dealt, block, None, stride)
 
 
 def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
@@ -346,9 +344,9 @@ def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
     ``complemented``: its streams, heads and stride describe 1 - d, its
     trivial ones and zeros those of ``spec``.
     """
-    report = classify(spec)
-    if report.verdict is not Verdict.CASE_II:
-        raise ValueError(f"verdict mismatch: expected case_ii, got {report.verdict.value}")
+    verdict = classify(spec).verdict
+    if verdict is not Verdict.CASE_II:
+        raise ValueError(f"verdict mismatch: expected case_ii, got {verdict.value}")
     complemented = isinstance(spec.tail, ConstantTail) and spec.tail.c > 0.5
     if complemented:
         spec = complement_spec(spec)
@@ -378,7 +376,6 @@ def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
         heads=[i for i, _ in heads],
         stride=stride,
         complemented=complemented,
-        kadison=report,
         trivial_ones=ones,
         trivial_zeros=zeros,
     )
@@ -414,9 +411,7 @@ def _build_case2_result(
     dim = top + 1
     attach_ones = plan.trivial_zeros if plan.complemented else plan.trivial_ones
     out = _corner(dim, pieces, attach_ones)
-    if plan.complemented:
-        out = np.eye(dim) - out
-    result.matrix = out
+    result.matrix = _complement_inplace(out) if plan.complemented else out
     result.completed_indices = sorted(completed)
     return result
 

@@ -87,8 +87,6 @@ class DiagonalSpec:
         for pos, x in enumerate(entries):
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"diagonal entry {x!r} at position {pos} outside [0, 1]")
-            if math.isnan(x):
-                raise ValueError(f"diagonal entry at position {pos} is NaN")
         object.__setattr__(self, "prefix", entries)
         object.__setattr__(self, "tail", tail)
 

@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
-from .tetris import _SCALE, _exact
 
 MAJORIZATION_TOL = 1e-10
 
@@ -83,26 +81,22 @@ class MajorizationInput:
         return None
 
 
-def _padded(lam_run, length: int) -> np.ndarray:
-    """Eigenvalue running sums cut or held at their last value to ``length``
-    entries: the running sums of the zero-padded eigenvalue list."""
-    return lam_run[np.minimum(np.arange(length), len(lam_run) - 1)]
-
-
-def _prefix_majorized(vals_desc, lam_run, tol: float) -> bool:
-    """Partial-sum test of sorted values against eigenvalue running sums.
+def _prefix_majorized(vals_desc, lam_pad, tol: float) -> bool:
+    """Partial-sum test of sorted values against ``lam_pad``, the running
+    sums of the zero-padded eigenvalue list, one per value.
 
     ``cumsum`` adds left to right, so every partial sum has the bits of a
     Python running sum.
     """
-    return not np.count_nonzero(vals_desc.cumsum() > _padded(lam_run, len(vals_desc)) + tol)
+    return not np.count_nonzero(vals_desc.cumsum() > lam_pad + tol)
 
 
-def _waterfall(head, lam_run, delta: float) -> np.ndarray:
+def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
     """Spread ``delta`` of extra diagonal mass over ``head`` (sorted desc).
 
     Fills front to back, keeping the result sorted and every prefix within the
-    eigenvalue prefix sums (``lam_run``). The cap at position t is the smallest
+    eigenvalue prefix sums (``lam_pad``: the running sums of the zero-padded
+    eigenvalue list, one per head entry). The cap at position t is the smallest
     slack over position t and everything after it: later entries can only
     grow, so filling a local brim that a downstream prefix cannot afford would
     strand the surplus there. The last slack equals delta (totals match), so a
@@ -119,7 +113,7 @@ def _waterfall(head, lam_run, delta: float) -> np.ndarray:
     prev = np.concatenate(([0.0], run[:-1]))
     bb = run - prev
     err = (prev - (run - bb)) + (head - bb)
-    slack = (_padded(lam_run, len(head)) - run) - err.cumsum()
+    slack = (lam_pad - run) - err.cumsum()
     slack = np.minimum.accumulate(slack[::-1])[::-1]
 
     # An entry without room takes add = 0.0 and becomes dt + 0.0. The others
@@ -172,10 +166,10 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     """
     blocks: list[tuple[np.ndarray, list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
-    lam_run = np.cumsum(lam_desc)
-    # exact prefix sums in units of 2**-1074; int true division rounds to
-    # nearest, ties to even, so exact[k] / _SCALE == fsum(lam_desc[: k + 1])
-    exact = list(accumulate(map(_exact, lam_desc)))
+    # running sums of the eigenvalues zero-padded to one per value, taken
+    # once; they never decrease (every eigenvalue is positive), so a peel
+    # caps them at its head's last sum to pad the head's eigenvalue sums
+    lam_run = np.cumsum(lam_desc + [0.0] * (len(vals) - len(lam_desc)))
     vals = np.asarray(vals, dtype=float)
     r = len(lam_desc)
     while r >= 2:
@@ -195,8 +189,8 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
 
         head_vals = vals[: m0 - 1]
         head_idx = idx[: m0 - 1]
-        lam_run_head = lam_run[: r - 1]
-        tol = 1e-12 * max(1.0, exact[r - 2] / _SCALE)
+        lam_pad = np.minimum(lam_run[: m0 - 1], lam_run[r - 2])
+        tol = 1e-12 * max(1.0, lam_run[r - 2])
         last = float(head_vals[-1])
         bump = last + delta
         # the bump goes before the first earlier entry below it; the last
@@ -207,7 +201,7 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
         candidate = head_vals.copy()
         candidate[pos + 1 :] = head_vals[pos:-1]
         candidate[pos] = bump
-        if _prefix_majorized(candidate, lam_run_head, tol):
+        if _prefix_majorized(candidate, lam_pad, tol):
             if delta > 0.0:
                 den = last - first + 2.0 * delta
                 alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (last - first + delta) / den))
@@ -219,7 +213,7 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
             cand_idx.insert(pos, head_idx[-1])
             vals, idx = candidate, cand_idx
         else:
-            x = _waterfall(head_vals, lam_run_head, delta)
+            x = _waterfall(head_vals, lam_pad, delta)
             touched = np.flatnonzero(x - head_vals > 1e-14).tolist()
             peel_repairs.append([(head_idx[t_], seg_idx[0], float(head_vals[t_])) for t_ in touched])
             vals, idx = x, head_idx

@@ -2,14 +2,16 @@
 
 Every spectrum-preserving step in the package is one record, a :class:`Move`
 (i, j, c, s): conjugation by the plane rotation on coordinates i and j with
-cosine c and sine s, applied to a dense symmetric matrix by
-``rotate_pair_inplace`` and to the rows of a sparse factor W (the matrix
-W W^T) by ``rotate_rows_inplace``. ``rotate_to`` picks the rotation that
-lands the (i, i) entry on a target, applies it and returns its Move; a
-:class:`MovePlan` lists Moves in order. Replayed on what they were made on
-(``ops_restore``'s dense matrix, ``horn_build``'s factor), the Moves
-reproduce the result bit for bit; a ``horn_build`` plan replayed on its dense
-start matrix matches the built matrix to rounding only.
+cosine c and sine s. ``rotate_pair_inplace`` applies it to a dense
+symmetric matrix, row pass then column pass, for ``ops_restore`` and
+``MovePlan.replay``; ``rotate_rows_inplace`` applies it to the rows of a
+sparse factor W (the matrix W W^T), for ``horn_build``'s repairs.
+``rotate_to`` picks the rotation that lands the (i, i) entry on a target,
+applies it and returns its Move; a :class:`MovePlan` lists Moves in order.
+Replayed on what they were made on (``ops_restore``'s dense matrix,
+``horn_build``'s factor), the Moves reproduce the result bit for bit; a
+``horn_build`` plan replayed on its dense start matrix matches the built
+matrix to rounding only.
 
 ``ops_shift`` edits a diagonal sequence directly, moving a prescribed amount
 of mass off a low block (toward 0) and onto a high block (toward 1).
@@ -35,32 +37,23 @@ def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> No
     """Conjugate ``E`` in place by the plane rotation G on coordinates (i, j).
 
     G maps e_i -> c*e_i + s*e_j and e_j -> -s*e_i + c*e_j, and the update is
-    E <- G^T E G. The new (i, i) entry is c^2*u + 2*c*s*w + s^2*v where
+    E <- G^T E G: rows i and j, then columns i and j of the row-rotated
+    matrix. The new (i, i) entry is c^2*u + 2*c*s*w + s^2*v where
     u = E[i, i], v = E[j, j], w = E[i, j].
 
     ``E`` must be exactly symmetric (E == E.T entry for entry), as every
-    matrix the package rotates is; it stays so. Only the two rows are
-    computed. Off the 2x2 block the new columns i and j equal them bit for
-    bit: a column entry c*E[k, i] + s*E[k, j] multiplies the same numbers as
-    the row entry c*E[i, k] + s*E[j, k]. The 2x2 block takes the column
-    rotation of the new rows, by the expressions a column pass would use.
+    matrix the package rotates is. The two passes round (i, j) and (j, i)
+    differently, so the new (i, j) entry is mirrored onto (j, i); everywhere
+    else the column pass gives the row pass's numbers, and ``E`` stays
+    exactly symmetric.
     """
-    ei, ej = E[i, :], E[j, :]
-    # ri = c*E[i] + s*E[j] and rj = -s*E[i] + c*E[j], with one scratch row
-    ri = ei * c
-    t = ej * s
-    ri += t
-    rj = ei * -s
-    np.multiply(ej, c, out=t)
-    rj += t
-    e_ii = c * ri[i] + s * ri[j]
-    e_ij = -s * ri[i] + c * ri[j]
-    e_jj = -s * rj[i] + c * rj[j]
-    E[i, :] = E[:, i] = ri
-    E[j, :] = E[:, j] = rj
-    E[i, i] = e_ii
-    E[j, j] = e_jj
-    E[i, j] = E[j, i] = e_ij
+    ri = c * E[i] + s * E[j]
+    rj = -s * E[i] + c * E[j]
+    E[i], E[j] = ri, rj
+    ci = c * E[:, i] + s * E[:, j]
+    cj = -s * E[:, i] + c * E[:, j]
+    E[:, i], E[:, j] = ci, cj
+    E[j, i] = E[i, j]
 
 
 def rotate_rows_inplace(W: list[dict[int, float]], i: int, j: int, c: float, s: float) -> None:

@@ -127,18 +127,20 @@ def test_planner_scans_match_scalar_reference():
         else:
             head = rng.uniform(0.0, 1.0, m)
         lams = rng.choice([0.5, 1.0, 2.0, float(rng.uniform(0.1, 2.0))], int(rng.integers(1, m + 3)))
-        lam_run = np.cumsum(lams)
+        # the helpers take the running sums padded to the head's length,
+        # held at their last value, as _plan_peels hands them over
+        lam_pad = np.cumsum(lams)[np.minimum(np.arange(m), len(lams) - 1)]
         delta = float(rng.choice([0.0, 1e-15, rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0)]))
-        assert _prefix_majorized(head, lam_run, 1e-12) == scalar_prefix_majorized(
+        assert _prefix_majorized(head, lam_pad, 1e-12) == scalar_prefix_majorized(
             head.tolist(), lams.tolist(), 1e-12
         )
         try:
             want = np.array(scalar_waterfall(head.tolist(), lams.tolist(), delta))
         except AssertionError:
             with pytest.raises(AssertionError):
-                _waterfall(head, lam_run, delta)
+                _waterfall(head, lam_pad, delta)
             continue
-        assert _waterfall(head, lam_run, delta).tobytes() == want.tobytes()
+        assert _waterfall(head, lam_pad, delta).tobytes() == want.tobytes()
 
 
 def test_convex_mix_examples():

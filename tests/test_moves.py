@@ -163,8 +163,9 @@ def test_move_plan_serialization_round_trip():
 
 
 def two_pass_rotation(E, i, j, c, s):
-    # The two-sided update rotate_pair_inplace used to make: both rows, then
-    # both columns of the row-rotated matrix, then the (i, j) pair mirrored.
+    # The two-sided update, written out apart from rotate_pair_inplace: both
+    # rows, then both columns of the row-rotated matrix, then the (i, j)
+    # pair mirrored.
     ri = c * E[i, :] + s * E[j, :]
     rj = -s * E[i, :] + c * E[j, :]
     E[i, :] = ri

@@ -1,6 +1,6 @@
 """The benchmark's tracer must find every function it is told to time, finite
-builds must go through the function it times, and the package reads no
-environment."""
+builds must go through the function it times and make no dense rotation on
+the shortcut route, and the package reads no environment."""
 
 import ast
 import importlib
@@ -13,7 +13,9 @@ import pytest
 import carpenter  # noqa: F401  (Tracer.install wraps the loaded modules)
 import carpenter.builder
 import carpenter.cli  # noqa: F401
+import carpenter.moves
 from carpenter import BuildOptions, build
+from test_builder import integer_sum_diagonal
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -78,6 +80,28 @@ def test_finite_builds_call_the_traced_horn_build(monkeypatch, pipeline, d):
     assert checks == [len(d)]
     assert np.array_equal(traced.matrix, plain.matrix)
     assert traced.report == plain.report
+
+
+def test_shortcut_builds_make_no_dense_rotation(monkeypatch):
+    # rotate_pair_inplace is the plain two-pass update because only the full
+    # pipeline's ops_restore (about one rotation a build) and MovePlan.replay
+    # call it; horn_build repairs rotate rows of its factor. Shortcut builds,
+    # which carry the finite-build workload, must not reach it.
+    original = carpenter.moves.rotate_pair_inplace
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(carpenter.moves, "rotate_pair_inplace", counted)
+    build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
+    assert calls, "the counter must see the full pipeline's restore rotation"
+    calls.clear()
+    for n in (50, 300, 1000):
+        res = build(integer_sum_diagonal(np.random.default_rng(n), n))
+        assert res.report.all_pass
+    assert calls == []
 
 
 def test_package_reads_no_environment():
