@@ -2,7 +2,10 @@
 
 File conventions: diagonal specs read as JSON (a spec object or a bare list)
 or CSV (flat list of numbers); matrices write as CSV with one row per line,
-comma-separated, 17 significant digits, which round-trips doubles exactly.
+comma-separated, each entry as ``"%.17g" % x``, which round-trips doubles
+exactly: +0.0 is ``0``, -0.0 is ``-0``, and NaN and infinities are ``nan``,
+``inf`` and ``-inf``. Only the entries other than +0.0 are formatted, so a
+built projection, which is mostly zeros, writes at the cost of its nonzeros.
 Exit codes: 0 success or feasible, 2 provably infeasible (report still
 emitted), failed verification, or a failed internal check (an invariant
 break or a stream that runs out of terms, reported as ``error: ...``),
@@ -12,6 +15,7 @@ break or a stream that runs out of terms, reported as ``error: ...``),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,16 +72,20 @@ def _parse_number_rows(text: str, path: str) -> list[tuple[int, list[float]]]:
     for ln, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        row = []
-        for col, cell in enumerate(line.split(","), 1):
-            tok = cell.strip()
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise CliInputError(
-                    f"{path}: row {ln}, column {col}: not a number: {tok!r}"
-                ) from None
-        rows.append((ln, row))
+        cells = line.split(",")
+        try:
+            rows.append((ln, list(map(float, cells))))
+        except ValueError:
+            # name the first cell that float() rejects; it strips what str.strip() does
+            for col, cell in enumerate(cells, 1):
+                tok = cell.strip()
+                try:
+                    float(tok)
+                except ValueError:
+                    raise CliInputError(
+                        f"{path}: row {ln}, column {col}: not a number: {tok!r}"
+                    ) from None
+            raise
     return rows
 
 
@@ -121,7 +129,13 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
 
 
 def _matrix_to_csv(P: np.ndarray) -> str:
-    return "\n".join(",".join("%.17g" % x for x in row) for row in P) + "\n"
+    """``P`` as CSV text, every entry ``"%.17g" % x``. Only the entries other
+    than +0.0 (nonzeros, -0.0, NaN, infinities) are formatted; each +0.0
+    cell is the shared string ``"0"``, which is what the format gives."""
+    cells = np.full(P.shape, "0", dtype=object)
+    kept = (P != 0.0) | np.signbit(P)
+    cells[kept] = list(map("%.17g".__mod__, P[kept].tolist()))
+    return "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def _write_output(payload: str, path: str | None) -> None:
@@ -248,7 +262,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, made on the first ``main`` call and reused: it
+    holds no per-call state, since ``parse_args`` returns a new namespace."""
     p = _Parser(
         prog="carpenter",
         description="Decide whether a sequence is the diagonal of a projection and build one.",

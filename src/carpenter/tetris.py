@@ -13,11 +13,12 @@ support is [k_{n-1}-2, k_n-1].
 
 Partial-sum boundaries compare the correctly rounded prefix sum with the
 target, the value math.fsum gives, so an exact hit such as 0.5 + 0.5 = 1
-lands on the minimal count deterministically. Each ordering of the terms
-(source order for m_n, permuted order for k_n and sigma_n) keeps one exact
-running sum in units of 2**-1074 (Shewchuk's exact summation, done with a
-Python int), and its pointer only moves forward, so every term is added
-once and a stream of R rows costs O(R) additions.
+lands on the minimal count deterministically; a sum that only rounds up to
+the target may fall short of it by at most 2**-41 (``_row_need``). Each
+ordering of the terms (source order for m_n, permuted order for k_n and
+sigma_n) keeps one exact running sum in units of 2**-1074 (Shewchuk's exact
+summation, done with a Python int), and its pointer only moves forward, so
+every term is added once and a stream of R rows costs O(R) additions.
 """
 
 from __future__ import annotations
@@ -64,6 +65,24 @@ def _least_reaching(target: float) -> int:
     rounds correctly, ties to even, as math.fsum does."""
     mid = (_exact(math.nextafter(target, 0.0)) + _exact(target)) // 2
     return mid if mid / _SCALE >= target else mid + 1
+
+
+_DEFICIT_CAP = _exact(2.0**-41)
+
+
+def _row_need(target: float) -> int:
+    """Least exact prefix sum, in units of 2**-1074, that reaches row
+    ``target``: one whose correctly rounded value is >= ``target`` and
+    which falls short of it by at most 2**-41.
+
+    sigma = target - S(k - 2) exceeds d1 + d2 = S(k) - S(k - 2) by the
+    deficit target - S(k). Rounding alone would let that deficit reach half
+    an ulp of ``target``, 1.8e-12 near 18,000, past ``SOLVE_A_TOL``. The
+    cap, about 4.5e-13, is no tighter than half an ulp up to 4096, so every
+    target up to there keeps the rounded rule: 0.7 + 3 * 0.1 lies just
+    below 1 but rounds to 1.0, so it reaches 1.
+    """
+    return max(_least_reaching(target), _exact(target) - _DEFICIT_CAP)
 
 
 class _RunningSum:
@@ -222,17 +241,14 @@ class TetrisStream:
 
     # -- thresholds and permutation ---------------------------------------
 
-    def _min_count(self, prefix: _RunningSum, target: float, lo_count: int, extendable: bool) -> int:
-        """Smallest k > lo_count whose k-term prefix has a correctly rounded
-        sum >= target.
+    def _min_count(self, prefix: _RunningSum, need: int, target: float, lo_count: int, extendable: bool) -> int:
+        """Smallest k > lo_count whose k-term exact prefix sum is >= ``need``
+        (``_row_need(target)``, in units of 2**-1074).
 
-        The terms are nonnegative, so rounded prefix sums never decrease and
-        the first count past lo_count that reaches ``target`` is the answer.
-        The rule compares the rounded sum, not the exact one: 0.7 + 3 * 0.1
-        lies just below 1 but rounds to 1.0, so it reaches 1. ``prefix``
-        starts at or below lo_count and only moves forward.
+        The terms are nonnegative, so prefix sums never decrease and the
+        first count past lo_count that reaches ``need`` is the answer.
+        ``prefix`` starts at or below lo_count and only moves forward.
         """
-        need = _least_reaching(target)
         while prefix.count <= lo_count or prefix.at(prefix.count) < need:
             if extendable:
                 self._need_terms(prefix.count + 1, target)
@@ -246,12 +262,14 @@ class TetrisStream:
         while len(self.k) < n:
             nn = len(self.k) + 1
             prev = self.m[-1] if self.m else 0
-            mn = self._min_count(self._src_sum, float(nn), prev, extendable=True)
+            target = float(nn)
+            need = _row_need(target)
+            mn = self._min_count(self._src_sum, need, target, prev, extendable=True)
             self.m.append(mn)
             block = sorted(range(prev, mn), key=lambda p: -self._vals[p])
             self.pi.extend(block)
             self._perm_vals.extend(self._vals[p] for p in block)
-            kn = self._min_count(self._perm_sum, float(nn), prev, extendable=False)
+            kn = self._min_count(self._perm_sum, need, target, prev, extendable=False)
             if not prev + 2 <= kn <= mn:
                 raise AssertionError(
                     f"threshold sandwich violated at n={nn}: "

@@ -127,7 +127,10 @@ def _sparse_defects(P: np.ndarray):
     Frobenius norm of P, from the nonzeros of ``P``; None when ``P`` has a
     non-finite entry or more than n^2 nonzero pairs. Nonzero (i, k) pairs
     with every nonzero of row k, so the pair count is read off the nonzero
-    counts before any index array is made.
+    counts of each row and column. Those come from the nonzeros' indices
+    when there are at most n^2 / 8 nonzeros, so the index array is no larger
+    than the n x n nonzero mask; a denser ``P`` is counted along each axis of
+    the mask, and indexed only if its pairs are few.
 
     Entry (i, j) of P - P^T is P[i, j] - P[j, i]: its max-norm is the
     largest over the nonzeros (i, j), and its squared Frobenius norm adds
@@ -148,17 +151,25 @@ def _sparse_defects(P: np.ndarray):
     """
     n = P.shape[0]
     mask = P != 0.0
-    row_nnz = np.count_nonzero(mask, axis=1)
-    col_nnz = np.count_nonzero(mask, axis=0)
-    if int(col_nnz @ row_nnz) > n * n:
-        return None
-    flat = np.flatnonzero(mask)
+    if 8 * np.count_nonzero(mask) <= n * n:  # the index array is no larger than the mask
+        flat = np.flatnonzero(mask)
+        rows, cols = np.divmod(flat, n)
+        row_nnz = np.bincount(rows, minlength=n)
+        col_nnz = np.bincount(cols, minlength=n)
+        if int(col_nnz @ row_nnz) > n * n:
+            return None
+    else:
+        row_nnz = np.count_nonzero(mask, axis=1)
+        col_nnz = np.count_nonzero(mask, axis=0)
+        if int(col_nnz @ row_nnz) > n * n:
+            return None
+        flat = np.flatnonzero(mask)
+        rows, cols = np.divmod(flat, n)
     del mask
     vals = P.ravel()[flat]
     p_norm_sq = float(vals @ vals)
     if not math.isfinite(p_norm_sq):  # a non-finite entry makes the norm non-finite too
         return None
-    rows, cols = np.divmod(flat, n)
     mirror = P[cols, rows]
     diff = vals - mirror
     lone = vals[mirror == 0.0]

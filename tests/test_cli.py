@@ -12,9 +12,9 @@ import pytest
 
 import carpenter
 import carpenter.cli
-from carpenter import NeedsMoreTermsError, build
+from carpenter import BuildOptions, NeedsMoreTermsError, build
 from carpenter.cli import main
-from test_builder import integer_sum_diagonal, near_integer_diagonal
+from test_builder import CORNER_SPECS, integer_sum_diagonal, near_integer_diagonal, random_approximate_spec
 
 
 def write(tmp_path, name, text):
@@ -129,6 +129,80 @@ def test_verify_nan_matrix_fails_with_exit_two(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["all_pass"] is False
     assert rep["estimated_rank"] == 0
+
+
+def reference_csv(P):
+    """The one-line writer that formatted every entry: the CSV contract."""
+    return "\n".join(",".join("%.17g" % x for x in row) for row in P) + "\n"
+
+
+def assert_csv_round_trips(tmp_path, P):
+    text = carpenter.cli._matrix_to_csv(P)
+    assert text == reference_csv(P)
+    back = carpenter.cli._load_matrix(write(tmp_path, "P.csv", text), None)
+    assert back.shape == P.shape
+    assert np.array_equal(back.view(np.uint64), P.view(np.uint64))  # -0.0 included
+
+
+@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
+def test_csv_of_builds_matches_reference(tmp_path, pipeline):
+    for n in [*range(1, 13), 17, 31, 64, 100, 150, 200, 256, 300]:
+        d = integer_sum_diagonal(np.random.default_rng(n), n)
+        assert_csv_round_trips(tmp_path, build(d, BuildOptions(pipeline=pipeline)).matrix)
+
+
+@pytest.mark.parametrize("name", ["case2-multi-block", "case2-complemented"])
+def test_csv_of_corners_matches_reference(tmp_path, name):
+    assert_csv_round_trips(tmp_path, build(CORNER_SPECS[name], BuildOptions(truncation_rows=12)).matrix)
+
+
+def test_csv_of_approximate_power_tail_matches_reference(tmp_path):
+    spec = random_approximate_spec(np.random.default_rng(7))
+    res = build(spec, BuildOptions(mode="approximate", epsilon=1e-3))
+    assert_csv_round_trips(tmp_path, res.matrix)
+
+
+def test_csv_of_dense_and_special_values_matches_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-300, 300, size=(40, 40))
+    assert_csv_round_trips(tmp_path, dense)
+    specials = np.array(
+        [
+            [0.0, -0.0, np.nan, np.inf],
+            [-np.inf, 5e-324, -5e-324, 1e308],
+            [-1e308, 1.0, -1.0, 0.1],
+            [2.0**-1022, 1 - 2.0**-53, 0.5, 0.0],
+        ]
+    )
+    assert carpenter.cli._matrix_to_csv(specials) == reference_csv(specials)
+    assert carpenter.cli._matrix_to_csv(specials).splitlines()[0] == "0,-0,nan,inf"
+    # "nan" reads back as a NaN, not necessarily with the same bits
+    finite = np.where(np.isnan(specials), 0.25, specials)
+    assert_csv_round_trips(tmp_path, finite)
+
+
+def test_csv_of_empty_matrix_is_one_newline():
+    P = np.zeros((0, 0))
+    assert carpenter.cli._matrix_to_csv(P) == reference_csv(P) == "\n"
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # The parser is made once per process; later calls, also after an
+    # argument error, must behave as the first call of a fresh process does.
+    f = write(tmp_path, "d.json", "[0.25, 0.25, 0.75, 0.75]")
+    requests = [
+        ["build", "--input", f],
+        ["build", "--input", f, "--pipeline", "bogus"],
+        ["classify", "--input", f],
+    ]
+    codes = []
+    for argv in requests:
+        codes.append(main(argv))
+        captured = capsys.readouterr()
+        proc = run_declared_script(*argv)
+        assert (codes[-1], captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert codes == [0, 1, 0]
+    assert json.loads(captured.out)["verdict"] == "case_i"
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys):

@@ -251,6 +251,16 @@ def test_threshold_compares_rounded_sum():
     assert s.k[0] == 4
 
 
+@pytest.mark.parametrize("c, rows", [(1 / 3, 18100), (0.3, 27100)])
+def test_long_streams_keep_sigma_within_bounds(c, rows):
+    # With thresholds on the rounded sum alone, k_n could stop up to half an
+    # ulp of n short, and sigma then passed d1 + d2 by more than SOLVE_A_TOL:
+    # "sigma bounds violated" at row 18016 for c = 1/3 and 27024 for c = 0.3
+    s = const_stream(c)
+    emitted = [s.next_row() for _ in range(rows)]
+    assert check_rows(emitted[-2000:]) <= 1e-12
+
+
 def test_permuted_values_follow_permuted_labels():
     source = itertools.chain([(0, 0.2), (1, 0.5), (2, 0.4)], ((i, 0.45) for i in itertools.count(3)))
     s = TetrisStream(source)

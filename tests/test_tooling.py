@@ -1,10 +1,14 @@
 """The benchmark's tracer must find every function it is told to time, finite
 builds must go through the function it times and make no dense rotation on
-the shortcut route, and the package reads no environment."""
+the shortcut route, the command line builds its argument parser once per
+process, and the package reads no environment."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 
 import carpenter  # noqa: F401  (Tracer.install wraps the loaded modules)
 import carpenter.builder
-import carpenter.cli  # noqa: F401
+import carpenter.cli
 import carpenter.moves
 from carpenter import BuildOptions, build
 from test_builder import integer_sum_diagonal
@@ -102,6 +106,45 @@ def test_shortcut_builds_make_no_dense_rotation(monkeypatch):
         res = build(integer_sum_diagonal(np.random.default_rng(n), n))
         assert res.report.all_pass
     assert calls == []
+
+
+def test_cli_builds_its_parser_at_most_once(monkeypatch, tmp_path, capsys):
+    # Making the parser costs about a millisecond, as much as a small
+    # classify request; it is made on the first main call, not per call.
+    made = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    d = tmp_path / "d.json"
+    d.write_text("[0.5, 0.5]")
+    for _ in range(5):
+        assert carpenter.cli.main(["classify", "--input", str(d)]) == 0
+        assert carpenter.cli.main(["build", "--input", str(d)]) == 0
+        assert carpenter.cli.main(["classify", "--bogus"]) == 1
+    capsys.readouterr()
+    assert made.count("carpenter") <= 1
+
+
+def test_cli_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import carpenter.cli\n"
+        "print(len(made))\n"
+    )
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_package_reads_no_environment():
