@@ -189,6 +189,8 @@ def _cmd_build(ns: argparse.Namespace) -> int:
 
 
 def _cmd_stream(ns: argparse.Namespace) -> int:
+    if ns.rows < 0:
+        raise CliInputError(f"rows must be nonnegative, got {ns.rows}")
     spec = _load_spec(ns.input, ns.format)
     report = classify(spec)
     if report.verdict is Verdict.INFEASIBLE:

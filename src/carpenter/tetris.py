@@ -19,6 +19,10 @@ ordering of the terms (source order for m_n, permuted order for k_n and
 sigma_n) keeps one exact running sum in units of 2**-1074 (Shewchuk's exact
 summation, done with a Python int), and its pointer only moves forward, so
 every term is added once and a stream of R rows costs O(R) additions.
+
+Once the source-order sum has used every term held, a pull takes as many
+new terms as are held, 1 to ``_CHUNK``: a short stream holds at most about
+twice the terms it uses, and a long one pulls ``_CHUNK`` at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -172,7 +177,8 @@ class TetrisStream:
 
     ``source`` may be a DiagonalSpec or an iterable of (label, value) pairs;
     labels identify positions of the original input (a spec source gets
-    labels 0, 1, 2, ...). Values are validated lazily as they materialize:
+    labels 0, 1, 2, ...). Terms are pulled from it by ``_pull`` when the
+    source-order sum has used every held term, and validated as they come:
     the first must lie in [0, 1), the rest in [0, 1/2].
 
     Public state, all read-only for callers:
@@ -188,7 +194,6 @@ class TetrisStream:
         else:
             pairs = source
         self._source: Iterator[tuple[int, float]] = iter(pairs)
-        self._exhausted = False
         self.max_terms = max_terms
         self._labels: list[int] = []
         self._vals: list[float] = []
@@ -204,13 +209,18 @@ class TetrisStream:
         self._rows: list[SparseRow] = []
         self._col_mass: list[float] = []
 
-    # -- source materialization -------------------------------------------
+    # -- source terms -----------------------------------------------------
 
-    def _materialize_chunk(self) -> bool:
-        if self._exhausted:
-            return False
-        got = 0
-        for label, value in self._source:
+    def _pull(self, target: float) -> None:
+        """Take and validate as many new source terms as are held: at least
+        one, at most ``_CHUNK``, never past ``max_terms``."""
+        held = len(self._vals)
+        if held >= self.max_terms:
+            raise NeedsMoreTermsError(
+                f"needs {held + 1} source terms (cap max_terms={self.max_terms}) "
+                f"while accumulating toward {target}; is the sum divergent?"
+            )
+        for label, value in islice(self._source, min(max(held, 1), _CHUNK, self.max_terms - held)):
             v = float(value)
             pos = len(self._vals)
             if pos == 0:
@@ -220,24 +230,8 @@ class TetrisStream:
                 raise ValueError(f"entry {v} at position {pos} outside [0, 1/2]")
             self._labels.append(int(label))
             self._vals.append(min(max(v, 0.0), 1.0))
-            got += 1
-            if got >= _CHUNK:
-                return True
-        self._exhausted = True
-        return got > 0
-
-    def _need_terms(self, count: int, target: float | None = None) -> None:
-        if count > self.max_terms:
-            msg = f"needs {count} source terms (cap max_terms={self.max_terms})"
-            if target is not None:
-                msg += f" while accumulating toward {target}; is the sum divergent?"
-            raise NeedsMoreTermsError(msg)
-        while len(self._vals) < count:
-            if not self._materialize_chunk():
-                msg = f"source exhausted after {len(self._vals)} terms"
-                if target is not None:
-                    msg += f"; partial sum cannot reach {target}"
-                raise NeedsMoreTermsError(msg)
+        if len(self._vals) == held:
+            raise NeedsMoreTermsError(f"source exhausted after {held} terms; partial sum cannot reach {target}")
 
     # -- thresholds and permutation ---------------------------------------
 
@@ -247,13 +241,14 @@ class TetrisStream:
 
         The terms are nonnegative, so prefix sums never decrease and the
         first count past lo_count that reaches ``need`` is the answer.
-        ``prefix`` starts at or below lo_count and only moves forward.
+        ``prefix`` starts at or below lo_count and only moves forward; an
+        ``extendable`` prefix pulls more source terms once it has used all.
         """
         while prefix.count <= lo_count or prefix.at(prefix.count) < need:
-            if extendable:
-                self._need_terms(prefix.count + 1, target)
-            elif prefix.count >= len(prefix.vals):
-                raise NeedsMoreTermsError(f"prefix of {prefix.count} terms sums below {target}")
+            if prefix.count == len(prefix.vals):
+                if not extendable:
+                    raise NeedsMoreTermsError(f"prefix of {prefix.count} terms sums below {target}")
+                self._pull(target)
             prefix.advance()
         return prefix.count
 

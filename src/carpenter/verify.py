@@ -283,6 +283,8 @@ def necessity_oracle(n: int, rank: int, trials: int, seed: int = 0) -> bool:
     """
     if not 0 <= rank <= n:
         raise ValueError(f"rank {rank} outside [0, {n}]")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         A = rng.standard_normal((n, n))

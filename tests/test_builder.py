@@ -21,6 +21,7 @@ from carpenter import (
 )
 from carpenter.builder import _build_cosummable, _build_summable
 from carpenter.diagonal import INTEGRALITY_TOL
+from carpenter.tetris import _CHUNK
 
 
 def idempotence_defect(P):
@@ -363,6 +364,18 @@ def test_near_integer_sums_spread_over_the_core(pipeline):
         assert res.report.diagonal_max_error <= abs(r) / m + 2e-14, seed
 
 
+@pytest.mark.parametrize("n", [500, 4000])
+def test_finite_idempotence_defect_stays_linear_in_n(n):
+    # The finite build's idempotence defect grows about linearly in n. The
+    # medians over these three seeds are 5.6e-15 (n = 500) and 2.5e-14
+    # (n = 4000), so the bound 4e-17 * n leaves 3.6x and 6.3x headroom.
+    defects = [
+        build(integer_sum_diagonal(np.random.default_rng([seed, n]), n)).report.idempotence_defect
+        for seed in range(3)
+    ]
+    assert sorted(defects)[1] <= 4e-17 * n
+
+
 @pytest.mark.parametrize("n", sorted(BUILD_DIGESTS))
 def test_build_bit_identical(n):
     d = integer_sum_diagonal(np.random.default_rng(n), n)
@@ -433,6 +446,15 @@ CORNER_DIGESTS = {
 def test_corner_bit_identical(name):
     res = build(CORNER_SPECS[name], BuildOptions(truncation_rows=12))
     assert result_digests(res) == CORNER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["case2-multi-block", "case2-complemented"])
+def test_corner_streams_hold_at_most_twice_the_terms_they_use(name):
+    # 12-row blocks use 29 to 113 terms here, far below one _CHUNK
+    res = build(CORNER_SPECS[name], BuildOptions(truncation_rows=12))
+    for stream in res.streams:
+        m = stream.m[-1]
+        assert len(stream._vals) <= max(1, min(2 * m, m + _CHUNK))
 
 
 # random_approximate_spec(default_rng(7)) at epsilon 1e-3: sha256 of the

@@ -107,6 +107,19 @@ def test_stream_rejects_multi_block_plans(tmp_path, capsys):
     assert "multiple blocks" in capsys.readouterr().err
 
 
+def test_negative_counts_are_input_errors(tmp_path, capsys):
+    # README: malformed input exits 1; neither command may write an output
+    f = write(tmp_path, "d.json", '{"prefix": [], "tail": {"kind": "constant", "c": 0.4}}')
+    out = tmp_path / "out.txt"
+    for argv, message in [
+        (["stream", "--input", f, "--rows", "-3"], "rows must be nonnegative, got -3"),
+        (["oracle", "--dim", "4", "--rank", "2", "--trials", "-4"], "trials must be nonnegative, got -4"),
+    ]:
+        assert main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     d = write(tmp_path, "d.csv", "1.0,0.0\n")
     good = write(tmp_path, "P.csv", "1,0\n0,0\n")

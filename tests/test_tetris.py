@@ -18,7 +18,7 @@ from carpenter import (
     completed_columns,
     projection_prefix,
 )
-from carpenter.tetris import _solve_a
+from carpenter.tetris import _CHUNK, _solve_a
 
 
 def const_stream(c, head=None):
@@ -181,8 +181,15 @@ def test_source_validation():
 
 def test_finite_source_exhausts():
     s = TetrisStream([(0, 0.4), (1, 0.4)])
-    with pytest.raises(NeedsMoreTermsError):
+    with pytest.raises(NeedsMoreTermsError) as err:
         s.next_row()
+    assert str(err.value) == "source exhausted after 2 terms; partial sum cannot reach 1.0"
+    s = TetrisStream([(i, 0.4) for i in range(7)])
+    s.next_row()
+    s.next_row()
+    with pytest.raises(NeedsMoreTermsError) as err:
+        s.next_row()
+    assert str(err.value) == "source exhausted after 7 terms; partial sum cannot reach 3.0"
 
 
 def test_sparse_row_serialization():
@@ -195,9 +202,32 @@ def test_sparse_row_serialization():
 
 def test_needs_more_terms_cap():
     s = TetrisStream(((i, 0.4) for i in itertools.count()), max_terms=10)
-    with pytest.raises(NeedsMoreTermsError):
+    with pytest.raises(NeedsMoreTermsError) as err:
         for _ in range(10):
             s.next_row()
+    assert str(err.value) == (
+        "needs 11 source terms (cap max_terms=10) while accumulating toward 5.0; is the sum divergent?"
+    )
+    assert s.rows_emitted == 4 and len(s._vals) == 10
+    # the cap applies before the source is asked, so a source of exactly
+    # max_terms terms reports the cap, not its exhaustion
+    s = TetrisStream([(i, 0.25) for i in range(3)], max_terms=3)
+    with pytest.raises(NeedsMoreTermsError) as err:
+        s.next_row()
+    assert str(err.value) == (
+        "needs 4 source terms (cap max_terms=3) while accumulating toward 1.0; is the sum divergent?"
+    )
+
+
+def test_stream_holds_at_most_twice_the_terms_it_uses():
+    # each pull takes as many terms as are held, at most _CHUNK, and only once
+    # every held term is used
+    s = const_stream(0.1)
+    for _ in range(3000):
+        s.next_row()
+        m = s.m[-1]
+        assert len(s._vals) <= max(1, min(2 * m, m + _CHUNK))
+    assert s.m[-1] == 30_000
 
 
 # sha256 over the rows' JSON lines (each followed by "\n"), recorded from the

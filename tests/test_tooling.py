@@ -1,7 +1,8 @@
 """The benchmark's tracer must find every function it is told to time, finite
 builds must go through the function it times and make no dense rotation on
 the shortcut route, the command line builds its argument parser once per
-process, and the package reads no environment."""
+process, scipy is imported only for summable power tails, and the package
+reads no environment."""
 
 import argparse
 import ast
@@ -145,6 +146,28 @@ def test_cli_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_scipy_is_imported_only_for_summable_power_tails():
+    # scipy costs about 0.3 s of import time; only p > 1 power tails use it
+    code = (
+        "import sys\n"
+        "from carpenter import BuildOptions, ConstantTail, DiagonalSpec, PowerTail, build, classify\n"
+        "seen = ['scipy' in sys.modules]\n"
+        "build([0.25, 0.5, 0.75, 0.5])\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "build(DiagonalSpec((0.7,), ConstantTail(0.4)), BuildOptions(truncation_rows=5))\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "classify(DiagonalSpec((), PowerTail(0.3, 1.0)))\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "classify(DiagonalSpec((), PowerTail(0.3, 2.0)))\n"
+        "seen.append('scipy' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    src = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, False, True]\n"
 
 
 def test_package_reads_no_environment():
