@@ -29,13 +29,19 @@ rows of the start factor they give the final factor bit for bit.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
 
 MAJORIZATION_TOL = 1e-10
+# the longest run of prefix sums checked with Python floats; longer runs
+# go to numpy
+_SCALAR_RUN = 24
 
 
 @dataclass(frozen=True)
@@ -81,27 +87,100 @@ class MajorizationInput:
         return None
 
 
-def _prefix_majorized(vals_desc, lam_pad, tol: float) -> bool:
-    """Partial-sum test of sorted values against ``lam_pad``, the running
-    sums of the zero-padded eigenvalue list, one per value.
+def _sums_within(vals, run, lo: int, h: int, lam_run, cap: float, tol: float) -> int | None:
+    """Write the running sums of ``vals[lo:h]`` into ``run[lo:h]``, going on
+    from ``run[lo - 1]`` (from nothing at lo = 0), and test each against
+    ``min(lam_run[i], cap) + tol``.
 
-    ``cumsum`` adds left to right, so every partial sum has the bits of a
-    Python running sum.
+    Returns None when a sum is above its bound, and leaves ``run[lo:h]``
+    undefined. Otherwise returns ``_first_above(run, lam_run, lo, h)``.
+
+    Each sum adds one entry to the one before, left to right, as ``cumsum``
+    does, so the sums have the bits of the ``cumsum`` of ``vals[:h]`` from
+    its first entry. A short run is summed with Python floats, a long one
+    with numpy.
     """
-    return not np.count_nonzero(vals_desc.cumsum() > lam_pad + tol)
+    if h - lo <= _SCALAR_RUN:
+        s = float(run[lo - 1]) if lo else -0.0  # -0.0 + x == x, bit for bit
+        sums = []
+        above = h
+        for i, (v, lam) in enumerate(zip(vals[lo:h].tolist(), lam_run[lo:h].tolist()), lo):
+            s += v
+            if s > (lam if lam < cap else cap) + tol:
+                return None
+            if s > lam + 1e-12 and above == h:
+                above = i
+            sums.append(s)
+        run[lo:h] = sums
+        return above
+    run[lo:h] = vals[lo:h]
+    part = run[lo - 1 : h] if lo else run[:h]
+    part.cumsum(out=part)
+    above = _first_above(run, lam_run, lo, h)
+    # below lam_run + 1e-12, a sum is below lam_run + tol (tol >= 1e-12),
+    # so only the cap is left to test
+    if above == h and run[lo:h].max() <= cap + tol:
+        return h
+    if np.count_nonzero(run[lo:h] > np.minimum(lam_run[lo:h], cap) + tol):
+        return None
+    return above
+
+
+def _first_above(run, lam_run, lo: int, h: int) -> int:
+    """The first index i in [lo, h) with run[i] > lam_run[i] + 1e-12, or h."""
+    over = run[lo:h] > lam_run[lo:h] + 1e-12
+    k = int(over.argmax())
+    return lo + k if over[k] else h
+
+
+def _first_rise(vals, h: int) -> int:
+    """The first index i < h - 1 with vals[i] < vals[i + 1], or h."""
+    if h < 2:
+        return h
+    rises = vals[: h - 1] < vals[1:h]
+    k = int(rises.argmax())
+    return k if rises[k] else h
+
+
+def _segment_start(vals, m: int, r: int, lam_r: float) -> int:
+    """The 1-based start of the shortest trailing segment of ``vals[:m]``
+    whose running sum from the end reaches ``lam_r``, raised to r when it
+    starts before r or there is none.
+
+    With no entry below 0 the sums from the end rise, so this is what
+    ``searchsorted`` finds on their ``cumsum``. The walk reads trailing
+    windows that double, so a segment costs about its length.
+    """
+    s = 0.0
+    hi, width = m, 8
+    while hi >= r:
+        lo = max(r - 1, hi - width)
+        window = vals[lo:hi].tolist()
+        for j in range(hi - lo - 1, -1, -1):
+            s += window[j]
+            if s >= lam_r:
+                return lo + j + 1
+        hi, width = lo, 2 * width
+    return r
 
 
 def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
     """Spread ``delta`` of extra diagonal mass over ``head`` (sorted desc).
 
-    Fills front to back, keeping the result sorted and every prefix within the
-    eigenvalue prefix sums (``lam_pad``: the running sums of the zero-padded
-    eigenvalue list, one per head entry). The cap at position t is the smallest
-    slack over position t and everything after it: later entries can only
-    grow, so filling a local brim that a downstream prefix cannot afford would
-    strand the surplus there. The last slack equals delta (totals match), so a
-    full absorption exists whenever the head's own prefix slacks are
-    nonnegative, which the peel recursion maintains.
+    Fills front to back, each entry at most up to the one before it, keeping
+    every prefix within the eigenvalue prefix sums (``lam_pad``: the running
+    sums of the zero-padded eigenvalue list, one per head entry). What the
+    fill leaves over, at most 1e-9 * max(1, delta), goes on the last entry,
+    which can lift it above the one before it, so the result is not always
+    sorted (1.0 then 1.0000000000000062 at the end of a fallback in the
+    build of ``integer_sum_diagonal(default_rng([1, 200]), 200)``).
+
+    The cap at position t is the smallest slack over position t and
+    everything after it: later entries can only grow, so filling a local
+    brim that a downstream prefix cannot afford would strand the surplus
+    there. The last slack equals delta (totals match), so a full absorption
+    exists whenever the head's own prefix slacks are nonnegative, which the
+    peel recursion maintains.
 
     The slack is that of the exact prefix sums: Knuth's TwoSum takes the
     rounding error of each step of ``cumsum``, and the running error comes
@@ -160,65 +239,111 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     with ``_waterfall`` and repaired by one targeted rotation per touched
     entry, planned as an (i, j, target) triple.
 
-    The values live in one array and each peel's scans are numpy calls.
-    Every sum is a left-to-right running sum (``cumsum``), never numpy's
-    pairwise ``sum``, so each bit matches a scalar loop.
+    A single bump moves the last head entry to its slot ``pos`` and shifts
+    the entries after it right, so a peel costs its segment, one binary
+    search and the moved range ``[pos, h)``. The head's values and prefix
+    sums live in arrays with a live length, its indices in a list, all
+    edited in place, and the partial-sum test restarts from the stored sum
+    before ``pos``. Every sum is a left-to-right running sum, never numpy's
+    pairwise ``sum``, so each bit matches a whole-head ``cumsum`` and a
+    scalar loop. The binary search needs a sorted head, which a
+    ``_waterfall`` does not always return: its leftover can lift the last
+    entry above the one before it. The next segment always takes the last
+    entry, but the index of the first rise is kept all the same, and while
+    a rise is left before the last slot the slot is found by a scan. An
+    entry below 0 (the input allows -1e-12) also brings back whole-head
+    scans.
     """
-    blocks: list[tuple[np.ndarray, list[int]]] = []
+    blocks: list[tuple[list[float], list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
     # running sums of the eigenvalues zero-padded to one per value, taken
     # once; they never decrease (every eigenvalue is positive), so a peel
     # caps them at its head's last sum to pad the head's eigenvalue sums
     lam_run = np.cumsum(lam_desc + [0.0] * (len(vals) - len(lam_desc)))
-    vals = np.asarray(vals, dtype=float)
+    vals = np.array(vals, dtype=float)  # the head is vals[:m]
+    run = vals.cumsum()  # and its prefix sums run[:m]
+    idx = list(idx)
+    m = len(vals)
+    # the first prefix sum above lam_run[i] + 1e-12; the ones before it pass
+    # each test whose cap is at least lam_run[i] (every tol is at least 1e-12)
+    above = _first_above(run, lam_run, 0, m)
+    rise = _first_rise(vals, m)
+    nonneg = bool(vals.min() >= 0.0)
     r = len(lam_desc)
     while r >= 2:
         lam_r = lam_desc[r - 1]
-        m = len(vals)
-        t = int(vals[::-1].cumsum().searchsorted(lam_r, side="left"))
-        m0 = m - t  # 1-based index of the segment start
-        m0 = max(r, min(m0, m))
-        first = float(vals[m0 - 1])
-        delta = math.fsum(vals[m0 - 1 :].tolist()) - lam_r
+        if nonneg:
+            m0 = _segment_start(vals, m, r, lam_r)
+        else:
+            t = int(vals[m - 1 :: -1].cumsum().searchsorted(lam_r, side="left"))
+            m0 = max(r, m - t)  # 1-based index of the segment start
+        seg_vals = vals[m0 - 1 : m].tolist()
+        first = seg_vals[0]
+        delta = math.fsum(seg_vals) - lam_r
         delta = min(max(delta, 0.0), first)
-
-        seg_vals = vals[m0 - 1 :].copy()
         seg_vals[0] = first - delta
         seg_idx = idx[m0 - 1 :]
         blocks.append((seg_vals, seg_idx))
 
-        head_vals = vals[: m0 - 1]
-        head_idx = idx[: m0 - 1]
-        lam_pad = np.minimum(lam_run[: m0 - 1], lam_run[r - 2])
-        tol = 1e-12 * max(1.0, lam_run[r - 2])
-        last = float(head_vals[-1])
+        h = m0 - 1
+        del idx[h:]
+        cap = float(lam_run[r - 2])
+        tol = 1e-12 * max(1.0, cap)
+        last = float(vals[h - 1])
         bump = last + delta
         # the bump goes before the first earlier entry below it; the last
         # slot, which the bump replaces, stands in when there is none
-        fits = head_vals >= bump
-        fits[-1] = False
-        pos = int(fits.argmin())
-        candidate = head_vals.copy()
-        candidate[pos + 1 :] = head_vals[pos:-1]
-        candidate[pos] = bump
-        if _prefix_majorized(candidate, lam_pad, tol):
+        if rise < h - 2:  # a rise before the last slot: scan
+            fits = vals[:h] >= bump
+            fits[-1] = False
+            pos = int(fits.argmin())
+        elif h < 2 or vals[h - 2] >= bump:  # the common case
+            pos = h - 1
+        else:
+            pos = bisect_right(vals, -bump, 0, h - 2, key=operator.neg)
+        # the candidate head: the bump at pos, the entries after it shifted
+        # right. The sums before pos are the head's; with no entry below 0
+        # they rise, so they pass if none is above lam_run + 1e-12 and the
+        # last is within the cap. A bump whose own sum is too big fails at
+        # once, before any shift.
+        before = float(run[pos - 1]) if pos else -0.0
+        lam_pos = float(lam_run[pos])
+        if before + bump > (lam_pos if lam_pos < cap else cap) + tol:
+            found = None
+        else:
+            vals[pos + 1 : h] = vals[pos : h - 1]
+            vals[pos] = bump
+            lo = pos if nonneg and above >= pos and before <= cap + tol else 0
+            found = _sums_within(vals, run, lo, h, lam_run, cap, tol)
+            if found is None:
+                vals[pos : h - 1] = vals[pos + 1 : h]
+                vals[h - 1] = last
+        if found is not None:
             if delta > 0.0:
                 den = last - first + 2.0 * delta
                 alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (last - first + delta) / den))
-                mix = Move(head_idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
+                mix = Move(idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
                 peel_repairs.append([mix])
             else:
                 peel_repairs.append([])
-            cand_idx = head_idx[:-1]
-            cand_idx.insert(pos, head_idx[-1])
-            vals, idx = candidate, cand_idx
+            idx.insert(pos, idx.pop())
+            if above >= lo:
+                above = found
+            rise = h if rise >= h - 2 else _first_rise(vals, h)
         else:
-            x = _waterfall(head_vals, lam_pad, delta)
-            touched = np.flatnonzero(x - head_vals > 1e-14).tolist()
-            peel_repairs.append([(head_idx[t_], seg_idx[0], float(head_vals[t_])) for t_ in touched])
-            vals, idx = x, head_idx
+            head = vals[:h]
+            x = _waterfall(head, np.minimum(lam_run[:h], cap), delta)
+            touched = (x - head > 1e-14).nonzero()[0].tolist()
+            peel_repairs.append([(idx[t_], seg_idx[0], float(head[t_])) for t_ in touched])
+            head[:] = x
+            x.cumsum(out=run[:h])
+            above = _first_above(run, lam_run, 0, h)
+            rise = _first_rise(vals, h)
+        if not nonneg:
+            nonneg = bool(vals[:h].min() >= 0.0)
+        m = h
         r -= 1
-    blocks.append((vals, idx))
+    blocks.append((vals[:m].tolist(), idx))
     return blocks, peel_repairs
 
 
@@ -260,12 +385,14 @@ def _start_factor(inp: MajorizationInput):
     order = sorted(range(len(inp.diag)), key=lambda k: -inp.diag[k])
     vals = [inp.diag[k] for k in order]
     blocks, peel_repairs = _plan_peels(lam_desc, vals, order)
+    values = np.fromiter(chain.from_iterable(v for v, _ in blocks), dtype=float, count=len(order))
+    roots = np.sqrt(np.clip(values, 0.0, None)).tolist()
+    rows = chain.from_iterable(seg_idx for _, seg_idx in blocks)
+    cols = chain.from_iterable(repeat(col, len(seg_idx)) for col, (_, seg_idx) in enumerate(blocks))
     W: list[dict[int, float]] = [{} for _ in order]
-    for col, (seg_vals, seg_idx) in enumerate(blocks):
-        roots = np.sqrt(np.clip(seg_vals, 0.0, None)).tolist()
-        for i, x in zip(seg_idx, roots):
-            if x:
-                W[i][col] = x
+    for i, col, x in zip(rows, cols, roots):
+        if x:
+            W[i][col] = x
     return W, peel_repairs
 
 
@@ -307,9 +434,9 @@ def _gram(W: list[dict[int, float]], n: int) -> np.ndarray:
     arrays, so that freeing them leaves no gap below it in the heap.
     """
     S = np.zeros((n, n))
-    rows = np.fromiter((i for i, row in enumerate(W) for _ in row), dtype=np.intp)
-    cols = np.fromiter((k for row in W for k in row), dtype=np.intp)
-    vals = np.fromiter((x for row in W for x in row.values()), dtype=float)
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, W), dtype=np.intp, count=n))
+    cols = np.fromiter(chain.from_iterable(W), dtype=np.intp, count=rows.size)
+    vals = np.fromiter(chain.from_iterable(map(dict.values, W)), dtype=float, count=rows.size)
     by_col = cols.argsort(kind="stable")  # rows stay ascending in a column
     rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
     col_nnz = np.bincount(cols)

@@ -314,6 +314,10 @@ BUILD_DIGESTS = {
     5: "a840236c5d5e74a77f1b1c226faf9bc965a2c91d35a0fde26e4b861557452633",
     50: "8ff0d266290cfad8ab98e921125019a39482d774c006349001ee5adcf7a881b2",
     300: "ce7ed6b30a35b398924e719f7d05c523c8cf9057d2251bbd5e550eb08ca4946d",
+    # sizes where a single bump shifts hundreds of head entries; recorded
+    # with the planner that scanned the whole head on every peel
+    1000: "962dc24681650d4deb08385d541dc07ad345d52cc8ebe0ab1d6b83d360d07b33",
+    4000: "3353771c00afb36f536965a8900e412592c007e1f6308a3948d83076cfaf9f78",
 }
 FULL_PIPELINE_DIGEST = "2a544cc5baced751895de33ef23688f5e88a51db5cde7e02f7cf795aba9b1c10"
 # n = 1000 from integer_sum_diagonal(default_rng(1000), 1000), where the peel
