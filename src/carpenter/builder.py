@@ -238,7 +238,7 @@ def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePl
         d_shift = list(vals)
 
     part1 = sorted(j0p + [i2])
-    part2 = [i for i in range(len(vals)) if i not in set(part1)]
+    part2 = sorted(set(range(len(vals))).difference(part1))
     p1 = _build_summable([d_shift[i] for i in part1])
     p2 = _build_cosummable([d_shift[i] for i in part2])
     E = _corner(len(vals), [(part1, p1), (part2, p2)])

@@ -133,23 +133,15 @@ def _first_above(run, lam_run, lo: int, h: int) -> int:
     return lo + k if over[k] else h
 
 
-def _first_rise(vals, h: int) -> int:
-    """The first index i < h - 1 with vals[i] < vals[i + 1], or h."""
-    if h < 2:
-        return h
-    rises = vals[: h - 1] < vals[1:h]
-    k = int(rises.argmax())
-    return k if rises[k] else h
-
-
 def _segment_start(vals, m: int, r: int, lam_r: float) -> int:
     """The 1-based start of the shortest trailing segment of ``vals[:m]``
     whose running sum from the end reaches ``lam_r``, raised to r when it
     starts before r or there is none.
 
-    With no entry below 0 the sums from the end rise, so this is what
-    ``searchsorted`` finds on their ``cumsum``. The walk reads trailing
-    windows that double, so a segment costs about its length.
+    ``vals[:m]`` is nonnegative, so the sums from the end rise and this is
+    what ``searchsorted`` finds on their ``cumsum``; it is sorted but for
+    perhaps its last slot, which the segment always takes. The walk reads
+    trailing windows that double, so a segment costs about its length.
     """
     s = 0.0
     hi, width = m, 8
@@ -165,15 +157,16 @@ def _segment_start(vals, m: int, r: int, lam_r: float) -> int:
 
 
 def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
-    """Spread ``delta`` of extra diagonal mass over ``head`` (sorted desc).
+    """Spread ``delta`` >= 0 of extra mass over ``head`` (sorted desc, >= 0).
 
     Fills front to back, each entry at most up to the one before it, keeping
     every prefix within the eigenvalue prefix sums (``lam_pad``: the running
-    sums of the zero-padded eigenvalue list, one per head entry). What the
-    fill leaves over, at most 1e-9 * max(1, delta), goes on the last entry,
-    which can lift it above the one before it, so the result is not always
-    sorted (1.0 then 1.0000000000000062 at the end of a fallback in the
-    build of ``integer_sum_diagonal(default_rng([1, 200]), 200)``).
+    sums of the zero-padded eigenvalue list, one per head entry). No entry
+    shrinks; what the fill leaves over, at most 1e-9 * max(1, delta), goes
+    on the last entry and can lift it above the one before it, so the result
+    is sorted but for its last slot (1.0 then 1.0000000000000062 at the end
+    of a fallback in the build of
+    ``integer_sum_diagonal(default_rng([1, 200]), 200)``).
 
     The cap at position t is the smallest slack over position t and
     everything after it: later entries can only grow, so filling a local
@@ -246,13 +239,11 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     edited in place, and the partial-sum test restarts from the stored sum
     before ``pos``. Every sum is a left-to-right running sum, never numpy's
     pairwise ``sum``, so each bit matches a whole-head ``cumsum`` and a
-    scalar loop. The binary search needs a sorted head, which a
-    ``_waterfall`` does not always return: its leftover can lift the last
-    entry above the one before it. The next segment always takes the last
-    entry, but the index of the first rise is kept all the same, and while
-    a rise is left before the last slot the slot is found by a scan. An
-    entry below 0 (the input allows -1e-12) also brings back whole-head
-    scans.
+    scalar loop. ``vals`` comes sorted descending and nonnegative (entries
+    in [-1e-12, 0) are read as 0.0), and every peel keeps it so but for
+    perhaps its last slot, which only a ``_waterfall`` leftover lifts and
+    the next segment always takes: the head left for the binary search is
+    sorted, and its prefix sums rise.
     """
     blocks: list[tuple[list[float], list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
@@ -267,16 +258,10 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     # the first prefix sum above lam_run[i] + 1e-12; the ones before it pass
     # each test whose cap is at least lam_run[i] (every tol is at least 1e-12)
     above = _first_above(run, lam_run, 0, m)
-    rise = _first_rise(vals, m)
-    nonneg = bool(vals.min() >= 0.0)
     r = len(lam_desc)
     while r >= 2:
         lam_r = lam_desc[r - 1]
-        if nonneg:
-            m0 = _segment_start(vals, m, r, lam_r)
-        else:
-            t = int(vals[m - 1 :: -1].cumsum().searchsorted(lam_r, side="left"))
-            m0 = max(r, m - t)  # 1-based index of the segment start
+        m0 = _segment_start(vals, m, r, lam_r)
         seg_vals = vals[m0 - 1 : m].tolist()
         first = seg_vals[0]
         delta = math.fsum(seg_vals) - lam_r
@@ -293,19 +278,14 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
         bump = last + delta
         # the bump goes before the first earlier entry below it; the last
         # slot, which the bump replaces, stands in when there is none
-        if rise < h - 2:  # a rise before the last slot: scan
-            fits = vals[:h] >= bump
-            fits[-1] = False
-            pos = int(fits.argmin())
-        elif h < 2 or vals[h - 2] >= bump:  # the common case
+        if h < 2 or vals[h - 2] >= bump:  # the common case
             pos = h - 1
         else:
             pos = bisect_right(vals, -bump, 0, h - 2, key=operator.neg)
         # the candidate head: the bump at pos, the entries after it shifted
-        # right. The sums before pos are the head's; with no entry below 0
-        # they rise, so they pass if none is above lam_run + 1e-12 and the
-        # last is within the cap. A bump whose own sum is too big fails at
-        # once, before any shift.
+        # right. The sums before pos are the head's; they rise, so they pass
+        # if none is above lam_run + 1e-12 and the last is within the cap. A
+        # bump whose own sum is too big fails at once, before any shift.
         before = float(run[pos - 1]) if pos else -0.0
         lam_pos = float(lam_run[pos])
         if before + bump > (lam_pos if lam_pos < cap else cap) + tol:
@@ -313,7 +293,7 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
         else:
             vals[pos + 1 : h] = vals[pos : h - 1]
             vals[pos] = bump
-            lo = pos if nonneg and above >= pos and before <= cap + tol else 0
+            lo = pos if above >= pos and before <= cap + tol else 0
             found = _sums_within(vals, run, lo, h, lam_run, cap, tol)
             if found is None:
                 vals[pos : h - 1] = vals[pos + 1 : h]
@@ -329,7 +309,6 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
             idx.insert(pos, idx.pop())
             if above >= lo:
                 above = found
-            rise = h if rise >= h - 2 else _first_rise(vals, h)
         else:
             head = vals[:h]
             x = _waterfall(head, np.minimum(lam_run[:h], cap), delta)
@@ -338,9 +317,6 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
             head[:] = x
             x.cumsum(out=run[:h])
             above = _first_above(run, lam_run, 0, h)
-            rise = _first_rise(vals, h)
-        if not nonneg:
-            nonneg = bool(vals[:h].min() >= 0.0)
         m = h
         r -= 1
     blocks.append((vals[:m].tolist(), idx))
@@ -380,13 +356,15 @@ def _start_factor(inp: MajorizationInput):
     the planned repairs. Column k of W0 is the square root of the k-th
     peeled block's values on its rows, so W0 W0^T is block diagonal with the
     rank-one blocks; the blocks are disjoint and each row has at most one
-    nonzero."""
+    nonzero. Every planned value is >= 0: a segment's first entry loses at
+    most itself."""
     lam_desc = sorted(inp.lambdas, reverse=True)
     order = sorted(range(len(inp.diag)), key=lambda k: -inp.diag[k])
-    vals = [inp.diag[k] for k in order]
+    # first_violation lets entries down to -1e-12 through: read them as 0.0
+    vals = [max(inp.diag[k], 0.0) for k in order]
     blocks, peel_repairs = _plan_peels(lam_desc, vals, order)
     values = np.fromiter(chain.from_iterable(v for v, _ in blocks), dtype=float, count=len(order))
-    roots = np.sqrt(np.clip(values, 0.0, None)).tolist()
+    roots = np.sqrt(values).tolist()
     rows = chain.from_iterable(seg_idx for _, seg_idx in blocks)
     cols = chain.from_iterable(repeat(col, len(seg_idx)) for col, (_, seg_idx) in enumerate(blocks))
     W: list[dict[int, float]] = [{} for _ in order]

@@ -57,11 +57,12 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
 
     The idempotence defect is the max-norm over every entry of P @ P - P.
     A built projection has a few nonzeros per row, so whenever ``P`` is
-    finite with at most n^2 nonzero pairs both defects are read from its
-    nonzeros (``_sparse_defects``): no n x n array is made besides the
-    nonzero mask. A dense matrix (a perturbed one, as ``carpenter verify``
-    gets) and any matrix with a non-finite entry go through P - P^T and the
-    dense product instead, so NaN and inf report as they always have. The
+    finite with at most n^2 / 8 nonzeros and at most n^2 nonzero pairs both
+    defects are read from its nonzeros (``_sparse_defects``): no n x n array
+    is made besides the nonzero mask. A dense matrix (a perturbed one, as
+    ``carpenter verify`` gets) and any matrix with a non-finite entry go
+    through P - P^T and the dense product instead, so NaN and inf report as
+    they always have. The
     two routes give the same symmetry defect bit for bit; the idempotence
     defects differ only by the rounding of dgemm's summation order.
 
@@ -125,12 +126,11 @@ def _norms(M: np.ndarray) -> tuple[float, float]:
 def _sparse_defects(P: np.ndarray):
     """Max-norms and Frobenius norms of P - P^T and P @ P - P, and the
     Frobenius norm of P, from the nonzeros of ``P``; None when ``P`` has a
-    non-finite entry or more than n^2 nonzero pairs. Nonzero (i, k) pairs
-    with every nonzero of row k, so the pair count is read off the nonzero
-    counts of each row and column. Those come from the nonzeros' indices
-    when there are at most n^2 / 8 nonzeros, so the index array is no larger
-    than the n x n nonzero mask; a denser ``P`` is counted along each axis of
-    the mask, and indexed only if its pairs are few.
+    non-finite entry, more than n^2 / 8 nonzeros (their index array would be
+    larger than the n x n nonzero mask) or more than n^2 nonzero pairs.
+    Nonzero (i, k) pairs with every nonzero of row k, so the pair count is
+    read off the nonzero counts of each row and column. A symmetric pattern
+    with over n^2 / 8 nonzeros and n >= 64 has more than n^2 pairs anyway.
 
     Entry (i, j) of P - P^T is P[i, j] - P[j, i]: its max-norm is the
     largest over the nonzeros (i, j), and its squared Frobenius norm adds
@@ -151,21 +151,15 @@ def _sparse_defects(P: np.ndarray):
     """
     n = P.shape[0]
     mask = P != 0.0
-    if 8 * np.count_nonzero(mask) <= n * n:  # the index array is no larger than the mask
-        flat = np.flatnonzero(mask)
-        rows, cols = np.divmod(flat, n)
-        row_nnz = np.bincount(rows, minlength=n)
-        col_nnz = np.bincount(cols, minlength=n)
-        if int(col_nnz @ row_nnz) > n * n:
-            return None
-    else:
-        row_nnz = np.count_nonzero(mask, axis=1)
-        col_nnz = np.count_nonzero(mask, axis=0)
-        if int(col_nnz @ row_nnz) > n * n:
-            return None
-        flat = np.flatnonzero(mask)
-        rows, cols = np.divmod(flat, n)
+    if 8 * np.count_nonzero(mask) > n * n:
+        return None
+    flat = np.flatnonzero(mask)
     del mask
+    rows, cols = np.divmod(flat, n)
+    row_nnz = np.bincount(rows, minlength=n)
+    col_nnz = np.bincount(cols, minlength=n)
+    if int(col_nnz @ row_nnz) > n * n:
+        return None
     vals = P.ravel()[flat]
     p_norm_sq = float(vals @ vals)
     if not math.isfinite(p_norm_sq):  # a non-finite entry makes the norm non-finite too

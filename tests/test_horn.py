@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from carpenter import MajorizationInput, Move, check_projection, horn_build
+from carpenter import BuildOptions, MajorizationInput, Move, build, check_projection, horn_build
 from carpenter import horn
 from carpenter.horn import _plan_peels, _sums_within, _waterfall
 from carpenter.builder import _spread_to_sum
@@ -305,7 +305,7 @@ def plan_bytes(blocks, repairs):
 def planner_args(inp):
     """_plan_peels' arguments for inp, as horn_build's _start_factor makes them."""
     order = sorted(range(len(inp.diag)), key=lambda k: -inp.diag[k])
-    return sorted(inp.lambdas, reverse=True), [inp.diag[k] for k in order], order
+    return sorted(inp.lambdas, reverse=True), [max(inp.diag[k], 0.0) for k in order], order
 
 
 def build_core(d):
@@ -339,14 +339,10 @@ def test_planner_matches_reference_bit_for_bit(monkeypatch):
         for seed in (1, 2, 3)
     ]
     cases = [planner_args(inp) for inp in inputs]
-    # the input allows entries down to -1e-12, which the peels keep to the
-    # whole-head scans; and unsorted values (the planner is handed sorted
-    # ones) take the scan for the bump's slot on every peel
+    # signed zeros at the end of the head
     for inp in inputs[:60]:
         lam_desc, vals, order = planner_args(inp)
-        cases.append((lam_desc, vals + [0.0, -0.0, -1e-13], order + [-1, -2, -3]))
-        perm = rng.permutation(len(vals)).tolist()
-        cases.append((lam_desc, [vals[k] for k in perm], [order[k] for k in perm]))
+        cases.append((lam_desc, vals + [0.0, -0.0], order + [-1, -2]))
     for lam_desc, vals, order in cases:
         want = plan_bytes(*reference_plan_peels(lam_desc, list(vals), list(order)))
         assert plan_bytes(*_plan_peels(lam_desc, list(vals), list(order))) == want, (lam_desc, vals)
@@ -354,6 +350,32 @@ def test_planner_matches_reference_bit_for_bit(monkeypatch):
     # it, and the peels after it, are among the inputs (one comes in the
     # build of integer_sum_diagonal(default_rng([1, 200]), 200))
     assert unsorted
+
+
+def test_planner_is_handed_a_sorted_nonnegative_head(monkeypatch):
+    # _plan_peels has one path, for values sorted descending and >= 0; the
+    # entries in [-1e-12, 0) that the input allows reach it as 0.0
+    heads = []
+
+    def recording_plan_peels(lam_desc, vals, idx):
+        heads.append(list(vals))
+        return _plan_peels(lam_desc, vals, idx)
+
+    monkeypatch.setattr(horn, "_plan_peels", recording_plan_peels)
+    rng = np.random.default_rng(29)
+    for k in range(200):
+        horn_build(random_majorization_input(rng, n_max=1 + k % 20, m_max=60))
+    for n in (6, 40, 300):
+        d = integer_sum_diagonal(np.random.default_rng(n), n)
+        for pipeline in ("shortcut", "full"):
+            build(d, BuildOptions(pipeline=pipeline))
+        tiny = d + (-rng.uniform(0.0, 1e-12, 3)).tolist()
+        horn_build(MajorizationInput((1.0,) * round(math.fsum(d)), tiny))
+    build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
+    assert len(heads) > 200
+    for vals in heads:
+        assert min(vals) >= 0.0
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_convex_mix_examples():

@@ -31,6 +31,16 @@ def integer_sum_diagonals(draw, max_size=40):
 
 
 @st.composite
+def with_tiny_negatives(draw):
+    """An integer-sum diagonal with one to three entries from [-1e-12, 0)
+    inserted, which the majorization check lets through as nonnegative."""
+    vals = draw(integer_sum_diagonals())
+    for x in draw(st.lists(st.floats(-1e-12, 0.0, exclude_max=True), min_size=1, max_size=3)):
+        vals.insert(draw(st.integers(0, len(vals))), x)
+    return vals
+
+
+@st.composite
 def near_integer_diagonals(draw):
     """An integer-sum diagonal with one entry strictly inside (0, 1) moved by
     up to 9e-10, so the sum is off its integer by less than INTEGRALITY_TOL."""
@@ -58,6 +68,18 @@ def test_horn_build_on_hostile_diagonals(d):
         return
     S = horn_build(MajorizationInput((1.0,) * rank, d))
     assert_exact_projection(S, d, check_projection(S, d))
+
+
+@PROFILE
+@given(with_tiny_negatives())
+def test_horn_build_on_tiny_negative_entries(d):
+    rank = round(math.fsum(d))
+    if rank == 0:
+        return
+    S = horn_build(MajorizationInput((1.0,) * rank, d))
+    assert np.array_equal(S, S.T)
+    assert check_projection(S, d).all_pass
+    assert float(np.max(np.abs(np.diag(S) - np.asarray(d)))) <= 1e-11
 
 
 @PROFILE

@@ -172,7 +172,6 @@ PAIR_CASES = {
     "empty-edge-rows": np.pad(sparse_symmetric(np.random.default_rng(4), 30, 0.1), 5),
     "single-nonzero": np.pad(np.array([[0.0, 0.7], [0.0, 0.0]]), ((2, 3), (1, 4))),
     "all-zero": np.zeros((4, 4)),
-    "one-by-one": np.array([[0.7]]),
     # more than n^2 / 16 pairs, so the rows go in several blocks
     "row-blocks": banded_projection_like(400, 7),
     # one pair per row: the blocks are cut at 2^17 product entries
@@ -208,6 +207,10 @@ def test_dense_and_non_finite_matrices_take_the_dense_product():
     rep = check_projection(P, [0.0] * len(P))
     assert rep.symmetry_defect == np.abs(P - P.T).max()
     assert rep.idempotence_defect == np.abs(P @ P - P).max()
+    # one nonzero is more than n^2 / 8 of a 1 x 1 matrix
+    one = np.array([[0.7]])
+    assert verify._sparse_defects(one) is None
+    assert check_projection(one, [0.7]).idempotence_defect == abs(0.7 * 0.7 - 0.7)
     Q = PAIR_CASES["sparse-symmetric"].copy()
     Q[3, 4] = math.nan
     assert verify._sparse_defects(Q) is None
