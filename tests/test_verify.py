@@ -207,16 +207,21 @@ def test_dense_and_non_finite_matrices_take_the_dense_product():
     rep = check_projection(P, [0.0] * len(P))
     assert rep.symmetry_defect == np.abs(P - P.T).max()
     assert rep.idempotence_defect == np.abs(P @ P - P).max()
-    # one nonzero is more than n^2 / 8 of a 1 x 1 matrix
-    one = np.array([[0.7]])
-    assert verify._sparse_defects(one) is None
-    assert check_projection(one, [0.7]).idempotence_defect == abs(0.7 * 0.7 - 0.7)
     Q = PAIR_CASES["sparse-symmetric"].copy()
     Q[3, 4] = math.nan
     assert verify._sparse_defects(Q) is None
     with np.errstate(invalid="ignore"):
         rep = check_projection(Q, [0.0] * len(Q))
     assert math.isnan(rep.symmetry_defect) and math.isnan(rep.idempotence_defect)
+
+
+def test_one_by_one_matrix_takes_the_dense_product():
+    # one nonzero is more than n^2 / 8 of a 1 x 1 matrix
+    one = np.array([[0.7]])
+    assert verify._sparse_defects(one) is None
+    rep = check_projection(one, [0.7])
+    assert rep.symmetry_defect == 0.0
+    assert rep.idempotence_defect == abs(0.7 * 0.7 - 0.7)
 
 
 def test_dense_matrix_falls_back_before_indexing():
