@@ -118,8 +118,9 @@ def _sums_within(vals, run, lo: int, h: int, lam_run, cap: float, tol: float) ->
     part.cumsum(out=part)
     above = _first_above(run, lam_run, lo, h)
     # below lam_run + 1e-12, a sum is below lam_run + tol (tol >= 1e-12),
-    # so only the cap is left to test
-    if above == h and run[lo:h].max() <= cap + tol:
+    # so only the cap is left to test, on the last sum: a nonnegative
+    # head's running sums never fall
+    if above == h and run[h - 1] <= cap + tol:
         return h
     if np.count_nonzero(run[lo:h] > np.minimum(lam_run[lo:h], cap) + tol):
         return None

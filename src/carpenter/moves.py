@@ -227,16 +227,17 @@ def _solve_rotation_angle(u: float, v: float, w: float, target: float) -> float:
         )
     phi = math.atan2(w, 0.5 * (u - v))
     gamma = math.acos(min(1.0, max(-1.0, gap / amp)))
+    t1 = _half_turn((phi + gamma) / 2.0)
+    t2 = _half_turn((phi - gamma) / 2.0)
+    return t2 if abs(t2) < abs(t1) or (abs(t2) == abs(t1) and t2 > t1) else t1
 
-    def normalize(t: float) -> float:
-        t = math.remainder(t, math.pi)
-        if t <= -math.pi / 2:
-            t += math.pi
-        return t
 
-    cand = sorted({normalize((phi + gamma) / 2.0), normalize((phi - gamma) / 2.0)},
-                  key=lambda t: (abs(t), -t))
-    return cand[0]
+def _half_turn(t: float) -> float:
+    """``t`` moved by a multiple of pi into (-pi/2, pi/2]."""
+    t = math.remainder(t, math.pi)
+    if t <= -math.pi / 2:
+        t += math.pi
+    return t
 
 
 def rotate_to(E: np.ndarray, i: int, j: int, target: float) -> Move:

@@ -14,23 +14,35 @@ support is [k_{n-1}-2, k_n-1].
 Partial-sum boundaries compare the correctly rounded prefix sum with the
 target, the value math.fsum gives, so an exact hit such as 0.5 + 0.5 = 1
 lands on the minimal count deterministically; a sum that only rounds up to
-the target may fall short of it by at most 2**-41 (``_row_need``). Each
-ordering of the terms (source order for m_n, permuted order for k_n and
-sigma_n) keeps one exact running sum in units of 2**-1074 (Shewchuk's exact
-summation, done with a Python int), and its pointer only moves forward, so
-every term is added once and a stream of R rows costs O(R) additions.
+the target may fall short of it by at most 2**-41 (``_row_need``). Sums are
+exact integers in units of 2**-1074 (Shewchuk's exact summation, done with a
+Python int). Each pulled term is converted once, and the source-order prefix
+sums are extended a chunk at a time; m_n is found by bisection over them.
+The row's block, sorted, extends them in permuted order from m_{n-1}, where
+both orders agree, and k_n is found the same way; sigma_n reads the sum at
+k_n - 2. No later search reads a term before m_n, so the exact terms and
+sums are kept only from there on: about one pull's worth.
 
-Once the source-order sum has used every term held, a pull takes as many
+Once the source-order sums have used every term held, a pull takes as many
 new terms as are held, 1 to ``_CHUNK``: a short stream holds at most about
 twice the terms it uses, and a long one pulls ``_CHUNK`` at a time.
+
+A stream keeps no row it has emitted. Per row it keeps m_n, k_n, sigma_n,
+a_n and, per term, its label, its value in both orders, its permuted
+position and its column mass. ``projection_prefix`` therefore drives a fresh
+stream itself and sums its rows as they come; the stream is left at the next
+row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -90,35 +102,21 @@ def _row_need(target: float) -> int:
     return max(_least_reaching(target), _exact(target) - _DEFICIT_CAP)
 
 
-class _RunningSum:
-    """Exact prefix sums of a growing list, advanced one term at a time.
-
-    Sums are integers in units of 2**-1074, in which every double and every
-    sum of doubles is exact; dividing by ``_SCALE`` rounds correctly. The
-    sums at the last three counts are kept, so a caller can read the sum
-    two terms back.
-    """
-
-    __slots__ = ("vals", "count", "_last")
-
-    def __init__(self, vals: list[float]):
-        self.vals = vals
-        self.count = 0
-        self._last = [0, 0, 0]  # exact sums at count - 2, count - 1, count
-
-    def advance(self) -> None:
-        last = self._last
-        last[0], last[1], last[2] = last[1], last[2], last[2] + _exact(self.vals[self.count])
-        self.count += 1
-
-    def at(self, count: int) -> int:
-        """Exact sum of the first ``count`` terms; ``count`` may lag
-        ``self.count`` by at most two."""
-        return self._last[count - self.count + 2]
-
-
 class NeedsMoreTermsError(RuntimeError):
     """The available source terms cannot reach the requested partial sum."""
+
+
+def _reject(chunk: list, held: int) -> None:
+    """Raise the error of the first bad entry of a pulled ``chunk`` whose
+    first term is at position ``held``, as a term-by-term pull would."""
+    for pos, (label, value) in enumerate(chunk, held):
+        v = float(value)
+        if pos == 0:
+            if not 0.0 <= v < 1.0:
+                raise ValueError(f"first entry {v} outside [0, 1)")
+        elif not -SOLVE_A_TOL <= v <= 0.5 + SOLVE_A_TOL:
+            raise ValueError(f"entry {v} at position {pos} outside [0, 1/2]")
+        int(label)
 
 
 @dataclass(frozen=True)
@@ -199,72 +197,95 @@ class TetrisStream:
         self._vals: list[float] = []
         self.pi: list[int] = []
         self._perm_vals: list[float] = []
-        self._src_sum = _RunningSum(self._vals)
-        self._perm_sum = _RunningSum(self._perm_vals)
+        # the window of held source positions from the last m_n on (0 before
+        # row 1): _exact of each term, and the exact prefix sums of the
+        # source order from count m_n to count held
+        self._exacts: list[int] = []
+        self._sums: list[int] = [0]
         self.m: list[int] = []
         self.k: list[int] = []
         self.sigma: list[float] = []
         self.a: list[float] = []
         self.rows_emitted = 0
-        self._rows: list[SparseRow] = []
-        self._col_mass: list[float] = []
+        self._col_mass = array("d")  # squared column norms, 8 B each
 
     # -- source terms -----------------------------------------------------
 
     def _pull(self, target: float) -> None:
         """Take and validate as many new source terms as are held: at least
-        one, at most ``_CHUNK``, never past ``max_terms``."""
+        one, at most ``_CHUNK``, never past ``max_terms``; append their exact
+        values and extend the source-order prefix sums by them.
+
+        The chunk is checked with its min and max; an entry out of range,
+        a NaN (which ``_exact`` refuses) or a bad pair is named by
+        ``_reject``, as a term-by-term check would name it."""
         held = len(self._vals)
         if held >= self.max_terms:
             raise NeedsMoreTermsError(
                 f"needs {held + 1} source terms (cap max_terms={self.max_terms}) "
                 f"while accumulating toward {target}; is the sum divergent?"
             )
-        for label, value in islice(self._source, min(max(held, 1), _CHUNK, self.max_terms - held)):
-            v = float(value)
-            pos = len(self._vals)
-            if pos == 0:
-                if not 0.0 <= v < 1.0:
-                    raise ValueError(f"first entry {v} outside [0, 1)")
-            elif not -SOLVE_A_TOL <= v <= 0.5 + SOLVE_A_TOL:
-                raise ValueError(f"entry {v} at position {pos} outside [0, 1/2]")
-            self._labels.append(int(label))
-            self._vals.append(min(max(v, 0.0), 1.0))
-        if len(self._vals) == held:
+        chunk = list(islice(self._source, min(max(held, 1), _CHUNK, self.max_terms - held)))
+        if not chunk:
             raise NeedsMoreTermsError(f"source exhausted after {held} terms; partial sum cannot reach {target}")
+        try:
+            labels, values = zip(*chunk, strict=True)
+            vals = list(map(float, values))
+            lo, hi = min(vals), max(vals)
+            # only the first pull holds position 0, and it takes one term
+            if held == 0:
+                in_range = 0.0 <= lo and hi < 1.0
+            else:
+                in_range = -SOLVE_A_TOL <= lo and hi <= 0.5 + SOLVE_A_TOL
+            if not in_range:
+                raise ValueError
+            if lo < 0.0:
+                vals = [max(v, 0.0) for v in vals]
+            exacts = list(map(_exact, vals))  # raises on a NaN that min and max let through
+            labels = list(map(int, labels))
+        except (TypeError, ValueError, OverflowError):
+            _reject(chunk, held)
+            raise
+        self._labels.extend(labels)
+        self._vals.extend(vals)
+        self._exacts.extend(exacts)
+        self._sums.extend(islice(accumulate(exacts, initial=self._sums[-1]), 1, None))
 
     # -- thresholds and permutation ---------------------------------------
 
-    def _min_count(self, prefix: _RunningSum, need: int, target: float, lo_count: int, extendable: bool) -> int:
-        """Smallest k > lo_count whose k-term exact prefix sum is >= ``need``
-        (``_row_need(target)``, in units of 2**-1074).
-
-        The terms are nonnegative, so prefix sums never decrease and the
-        first count past lo_count that reaches ``need`` is the answer.
-        ``prefix`` starts at or below lo_count and only moves forward; an
-        ``extendable`` prefix pulls more source terms once it has used all.
-        """
-        while prefix.count <= lo_count or prefix.at(prefix.count) < need:
-            if prefix.count == len(prefix.vals):
-                if not extendable:
-                    raise NeedsMoreTermsError(f"prefix of {prefix.count} terms sums below {target}")
-                self._pull(target)
-            prefix.advance()
-        return prefix.count
-
     def _ensure_rows(self, n: int) -> None:
-        """Thresholds m, k, the permutation and sigma, a for rows 1..n."""
+        """Thresholds m, k, the permutation and sigma, a for rows 1..n.
+
+        The terms are nonnegative, so prefix sums never decrease: m_n is the
+        first count past m_{n-1} whose source-order sum reaches
+        ``_row_need(n)``, and k_n the same in permuted order. Both come from
+        bisection over exact prefix sums.
+        """
         while len(self.k) < n:
             nn = len(self.k) + 1
             prev = self.m[-1] if self.m else 0
             target = float(nn)
             need = _row_need(target)
-            mn = self._min_count(self._src_sum, need, target, prev, extendable=True)
+            sums = self._sums
+            i = bisect_left(sums, need, 1)
+            while i == len(sums):
+                self._pull(target)
+                i = bisect_left(sums, need, i)
+            mn = prev + i
             self.m.append(mn)
-            block = sorted(range(prev, mn), key=lambda p: -self._vals[p])
-            self.pi.extend(block)
-            self._perm_vals.extend(self._vals[p] for p in block)
-            kn = self._min_count(self._perm_sum, need, target, prev, extendable=False)
+            # a stable descending sort of the block prev .. mn - 1, as offsets
+            # into the block
+            block_vals = self._vals[prev:mn]
+            order = sorted(range(i), key=block_vals.__getitem__, reverse=True)
+            self.pi.extend(map(prev.__add__, order))
+            self._perm_vals.extend(map(block_vals.__getitem__, order))
+            # permuted-order sums from m_{n-1}, where they equal the source
+            # order's: the blocks before hold the same terms
+            exacts = self._exacts
+            perm_sums = list(accumulate(map(exacts.__getitem__, order), initial=sums[0]))
+            # no later search reads a term before m_n
+            del exacts[:i], sums[:i]
+            kn = prev + bisect_left(perm_sums, need, 1)
             if not prev + 2 <= kn <= mn:
                 raise AssertionError(
                     f"threshold sandwich violated at n={nn}: "
@@ -276,7 +297,7 @@ class TetrisStream:
                 raise AssertionError(f"reorder postcondition failed at n={nn}")
             self.k.append(kn)
             # correctly rounded nn - (sum of the first kn - 2 permuted terms)
-            s = (nn * _SCALE - self._perm_sum.at(kn - 2)) / _SCALE
+            s = (nn * _SCALE - perm_sums[kn - 2 - prev]) / _SCALE
             if not max(d1, d2) - SOLVE_A_TOL <= s <= d1 + d2 + SOLVE_A_TOL:
                 raise AssertionError(
                     f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
@@ -336,26 +357,32 @@ class TetrisStream:
         self._ensure_rows(n)
         kn = self.k[n - 1]
         sig, a = self.sigma[n - 1], self.a[n - 1]
+        # permuted values are clamped nonnegative, so the middle entries
+        # need no radicand check
         if n == 1:
             start = 0
-            vals = [self._root(v) for v in self._perm_vals[: kn - 2]]
+            vals = list(map(math.sqrt, self._perm_vals[: kn - 2]))
         else:
             kp = self.k[n - 2]
             start = kp - 2
             vals = self._opening_pair(kp, self.a[n - 2], self.sigma[n - 2])
-            vals.extend(self._root(v) for v in self._perm_vals[kp : kn - 2])
+            vals.extend(map(math.sqrt, self._perm_vals[kp : kn - 2]))
         vals.append(self._root(a, snap=True))
         vals.append(-self._root(sig - a, snap=True))
-        norm2 = math.fsum(x * x for x in vals)
+        squares = list(map(operator.mul, vals, vals))
+        norm2 = math.fsum(squares)
         if abs(norm2 - 1.0) > ROW_NORM_TOL:
             raise AssertionError(f"row {n} norm^2 = {norm2}")
         row = SparseRow(n, start, tuple(vals))
-        if len(self._col_mass) < kn:
-            self._col_mass.extend([0.0] * (kn - len(self._col_mass)))
-        for off, x in enumerate(row.values):
-            self._col_mass[start + off] += x * x
+        # the opening pair lands on the previous row's closing columns, and
+        # every later entry opens a column
+        mass = self._col_mass
+        if n > 1:
+            mass[start] += squares[0]
+            mass[start + 1] += squares[1]
+            del squares[:2]
+        mass.extend(squares)
         self.rows_emitted = n
-        self._rows.append(row)
         return row
 
 
@@ -376,19 +403,24 @@ def completed_columns(stream: TetrisStream):
 def projection_prefix(stream: TetrisStream, rows: int) -> np.ndarray:
     """Sum of v v^T over the first ``rows`` rows, as a dense k_R x k_R block.
 
-    Axes are reordered by ascending original label so the diagonal aligns
-    with the input order restricted to the touched positions.
+    ``stream`` must be fresh: its rows 1 .. ``rows`` are emitted here and
+    summed as they come, since a stream keeps no row it has emitted. The
+    next ``next_row`` then gives row ``rows + 1``. Axes are reordered by
+    ascending original label so the diagonal aligns with the input order
+    restricted to the touched positions.
     """
+    if stream.rows_emitted:
+        raise ValueError(f"projection_prefix needs a fresh stream; {stream.rows_emitted} rows already emitted")
     if rows == 0:
         return np.zeros((0, 0))
-    while stream.rows_emitted < rows:
-        stream.next_row()
+    stream._ensure_rows(rows)
     dim = stream.k[rows - 1]
     P = np.zeros((dim, dim))
-    for row in stream._rows[:rows]:
+    for _ in range(rows):
+        row = stream.next_row()
         v = np.asarray(row.values)
         sl = slice(row.start, row.start + v.size)
         P[sl, sl] += np.outer(v, v)
-    labels = np.asarray([stream._labels[p] for p in stream.pi[:dim]])
+    labels = np.asarray(stream.permuted_labels(dim))
     order = np.argsort(labels, kind="stable")
     return P[np.ix_(order, order)]

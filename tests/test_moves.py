@@ -15,7 +15,7 @@ from carpenter import (
     ops_restore,
     ops_shift,
 )
-from carpenter.moves import rotate_to
+from carpenter.moves import TARGET_TOL, _solve_rotation_angle, rotate_to
 
 
 def test_ops_request_validation():
@@ -218,3 +218,60 @@ def test_ops_restore_rejects_non_symmetric_start():
     E[1, 0] = 1e-300
     with pytest.raises(ValueError, match="symmetric"):
         ops_restore(E, dt, [0.3, 0.7], (0,), (1,))
+
+
+# The angle solver as it was before it compared its two candidates directly,
+# kept verbatim as the oracle: a set of the normalized candidates, sorted by
+# (|t|, -t).
+def reference_solve_rotation_angle(u: float, v: float, w: float, target: float) -> float:
+    mid = 0.5 * (u + v)
+    amp = math.hypot(0.5 * (u - v), w)
+    if amp == 0.0:
+        if abs(target - mid) > TARGET_TOL:
+            raise ValueError(f"target {target} unattainable from a scalar 2x2 block")
+        return 0.0
+    gap = target - mid
+    if abs(gap) > amp + TARGET_TOL:
+        raise ValueError(
+            f"target {target} outside attainable interval [{mid - amp}, {mid + amp}]"
+        )
+    phi = math.atan2(w, 0.5 * (u - v))
+    gamma = math.acos(min(1.0, max(-1.0, gap / amp)))
+
+    def normalize(t: float) -> float:
+        t = math.remainder(t, math.pi)
+        if t <= -math.pi / 2:
+            t += math.pi
+        return t
+
+    cand = sorted({normalize((phi + gamma) / 2.0), normalize((phi - gamma) / 2.0)},
+                  key=lambda t: (abs(t), -t))
+    return cand[0]
+
+
+def angle_outcome(solve, *args):
+    try:
+        return solve(*args).hex()
+    except ValueError as e:
+        return str(e)
+
+
+def test_rotation_angle_matches_reference():
+    # bit for bit, on random blocks and on ties: w = +-0 puts the two
+    # candidates at +-gamma/2 (about 0 when u > v, about pi/2 when u < v),
+    # and u = v with w = 0 leaves amp = 0
+    rng = np.random.default_rng(11)
+    ties = 0
+    for k in range(20_000):
+        u, v = (float(x) for x in rng.uniform(0.0, 1.0, 2))
+        if k % 5 == 0:
+            v = u
+        w = [0.0, -0.0, float(rng.uniform(-1.0, 1.0))][k % 3]
+        mid, amp = 0.5 * (u + v), math.hypot(0.5 * (u - v), w)
+        s = [-1.0, 1.0, float(rng.uniform(-1.0, 1.0)), 1.0 + 5e-13, float(rng.uniform(1.1, 2.0))][k % 7 % 5]
+        target = mid + s * amp if amp else mid + [0.0, 1e-13, 0.5][k % 3]
+        got = angle_outcome(_solve_rotation_angle, u, v, w, target)
+        assert got == angle_outcome(reference_solve_rotation_angle, u, v, w, target), (u, v, w, target)
+        if amp and w == 0.0 and abs(s) < 1.0:
+            ties += 1
+    assert ties > 1000

@@ -3,22 +3,29 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpenter import (
+    BuildOptions,
     ConstantTail,
     DiagonalSpec,
     NeedsMoreTermsError,
     PowerTail,
     SparseRow,
     TetrisStream,
+    build,
+    build_case2,
     check_rows,
     completed_columns,
     projection_prefix,
 )
-from carpenter.tetris import _CHUNK, _solve_a
+from carpenter.tetris import _CHUNK, _SCALE, SOLVE_A_TOL, _exact, _row_need, _solve_a
 
 
 def const_stream(c, head=None):
@@ -127,6 +134,43 @@ def test_completed_columns_empty_for_halves():
     assert count == 0 and norms.size == 0
 
 
+def test_projection_prefix_needs_a_fresh_stream():
+    s = const_stream(0.4)
+    s.next_row()
+    with pytest.raises(ValueError):
+        projection_prefix(s, 2)
+    with pytest.raises(ValueError):
+        projection_prefix(s, 0)
+
+
+def test_build_leaves_each_block_stream_at_the_next_row():
+    spec = DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4))
+    R = 12
+    res = build(spec, BuildOptions(truncation_rows=R))
+    fresh = build_case2(spec).streams
+    assert len(res.streams) == len(fresh) == 2
+    for stream, again in zip(res.streams, fresh):
+        assert stream.rows_emitted == R
+        for _ in range(R):
+            again.next_row()
+        assert stream.next_row().to_json_line() == again.next_row().to_json_line()
+
+
+def test_stream_memory_per_row():
+    # a stream keeps no emitted row; what it keeps per row (thresholds, the
+    # permutation, labels, values and column masses, about 1,200 B for
+    # c = 0.1) bounds the peak, against about 2,000 B when rows were kept
+    tracemalloc.start()
+    try:
+        s = const_stream(0.1)
+        for _ in range(20_000):
+            s.next_row()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_projection_prefix_small():
     P = projection_prefix(const_stream(0.4), 2)
     assert P.shape == (5, 5)
@@ -177,6 +221,33 @@ def test_source_validation():
     # first entry may sit anywhere in [0, 1)
     s = TetrisStream(itertools.chain([(0, 0.95)], ((i, 0.3) for i in itertools.count(1))))
     s.next_row()
+
+
+def test_source_validation_messages():
+    def message(source):
+        with pytest.raises(ValueError) as err:
+            s = TetrisStream(source)
+            while True:
+                s.next_row()
+        return str(err.value), s.rows_emitted
+
+    assert message([(0, 1.0), (1, 0.4)]) == ("first entry 1.0 outside [0, 1)", 0)
+    assert message([(0, math.nan), (1, 0.4)]) == ("first entry nan outside [0, 1)", 0)
+    assert message([(0, 0.4), (1, 0.8)]) == ("entry 0.8 at position 1 outside [0, 1/2]", 0)
+
+    def quarters(bad):
+        # 0.25 everywhere except the entries of ``bad``; positions 1024 to
+        # 2047 arrive in one 1024-term pull, once row 256 has used 1024 terms
+        return ((i, bad.get(i, 0.25)) for i in itertools.count())
+
+    # the first bad entry of a pull is named, wherever it sits in the pull,
+    # and the rows before that pull are emitted
+    assert message(quarters({1724: 0.75, 1900: -0.5})) == ("entry 0.75 at position 1724 outside [0, 1/2]", 256)
+    assert message(quarters({1724: -0.5, 1900: 0.75})) == ("entry -0.5 at position 1724 outside [0, 1/2]", 256)
+    # a NaN that neither min nor max of the pull sees
+    assert message(quarters({1724: math.nan})) == ("entry nan at position 1724 outside [0, 1/2]", 256)
+    assert message(quarters({1024: math.nan, 1724: 0.75})) == ("entry nan at position 1024 outside [0, 1/2]", 256)
+    assert message(quarters({2047: math.inf})) == ("entry inf at position 2047 outside [0, 1/2]", 256)
 
 
 def test_finite_source_exhausts():
@@ -315,3 +386,162 @@ def test_long_stream_constant_01():
     for n, kn in enumerate(s.k, 1):
         assert prev + 2 <= kn <= s.m[n - 1]
         prev = s.m[n - 1]
+
+
+# The threshold walk as it was before the stream searched prefix sums by
+# bisection: one exact running sum per ordering, advanced a term at a time,
+# and a pull that validates term by term. Kept verbatim as the oracle the
+# stream's m, k, sigma, a and pulls must match bit for bit.
+class _RunningSum:
+    """Exact prefix sums of a growing list, advanced one term at a time.
+
+    Sums are integers in units of 2**-1074, in which every double and every
+    sum of doubles is exact; dividing by ``_SCALE`` rounds correctly. The
+    sums at the last three counts are kept, so a caller can read the sum
+    two terms back.
+    """
+
+    __slots__ = ("vals", "count", "_last")
+
+    def __init__(self, vals: list[float]):
+        self.vals = vals
+        self.count = 0
+        self._last = [0, 0, 0]  # exact sums at count - 2, count - 1, count
+
+    def advance(self) -> None:
+        last = self._last
+        last[0], last[1], last[2] = last[1], last[2], last[2] + _exact(self.vals[self.count])
+        self.count += 1
+
+    def at(self, count: int) -> int:
+        """Exact sum of the first ``count`` terms; ``count`` may lag
+        ``self.count`` by at most two."""
+        return self._last[count - self.count + 2]
+
+
+class ReferenceThresholds:
+    def __init__(self, source, max_terms: int = 10_000_000):
+        self._source = iter(source)
+        self.max_terms = max_terms
+        self._labels: list[int] = []
+        self._vals: list[float] = []
+        self.pi: list[int] = []
+        self._perm_vals: list[float] = []
+        self._src_sum = _RunningSum(self._vals)
+        self._perm_sum = _RunningSum(self._perm_vals)
+        self.m: list[int] = []
+        self.k: list[int] = []
+        self.sigma: list[float] = []
+        self.a: list[float] = []
+
+    def _pull(self, target: float) -> None:
+        held = len(self._vals)
+        if held >= self.max_terms:
+            raise NeedsMoreTermsError(
+                f"needs {held + 1} source terms (cap max_terms={self.max_terms}) "
+                f"while accumulating toward {target}; is the sum divergent?"
+            )
+        for label, value in islice(self._source, min(max(held, 1), _CHUNK, self.max_terms - held)):
+            v = float(value)
+            pos = len(self._vals)
+            if pos == 0:
+                if not 0.0 <= v < 1.0:
+                    raise ValueError(f"first entry {v} outside [0, 1)")
+            elif not -SOLVE_A_TOL <= v <= 0.5 + SOLVE_A_TOL:
+                raise ValueError(f"entry {v} at position {pos} outside [0, 1/2]")
+            self._labels.append(int(label))
+            self._vals.append(min(max(v, 0.0), 1.0))
+        if len(self._vals) == held:
+            raise NeedsMoreTermsError(f"source exhausted after {held} terms; partial sum cannot reach {target}")
+
+    def _min_count(self, prefix: _RunningSum, need: int, target: float, lo_count: int, extendable: bool) -> int:
+        while prefix.count <= lo_count or prefix.at(prefix.count) < need:
+            if prefix.count == len(prefix.vals):
+                if not extendable:
+                    raise NeedsMoreTermsError(f"prefix of {prefix.count} terms sums below {target}")
+                self._pull(target)
+            prefix.advance()
+        return prefix.count
+
+    def _ensure_rows(self, n: int) -> None:
+        while len(self.k) < n:
+            nn = len(self.k) + 1
+            prev = self.m[-1] if self.m else 0
+            target = float(nn)
+            need = _row_need(target)
+            mn = self._min_count(self._src_sum, need, target, prev, extendable=True)
+            self.m.append(mn)
+            block = sorted(range(prev, mn), key=lambda p: -self._vals[p])
+            self.pi.extend(block)
+            self._perm_vals.extend(self._vals[p] for p in block)
+            kn = self._min_count(self._perm_sum, need, target, prev, extendable=False)
+            if not prev + 2 <= kn <= mn:
+                raise AssertionError(
+                    f"threshold sandwich violated at n={nn}: "
+                    f"m_prev+2={prev + 2}, k={kn}, m={mn}"
+                )
+            d1 = self._perm_vals[kn - 2]
+            d2 = self._perm_vals[kn - 1]
+            if d1 < d2:
+                raise AssertionError(f"reorder postcondition failed at n={nn}")
+            self.k.append(kn)
+            s = (nn * _SCALE - self._perm_sum.at(kn - 2)) / _SCALE
+            if not max(d1, d2) - SOLVE_A_TOL <= s <= d1 + d2 + SOLVE_A_TOL:
+                raise AssertionError(
+                    f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
+                )
+            self.sigma.append(s)
+            self.a.append(_solve_a(s, d1, d2))
+
+
+def assert_matches_reference(make_source, rows):
+    """Emit ``rows`` rows from a stream over ``make_source()`` and check,
+    after each, its newest m, k, sigma, a and its held term count against
+    the reference walk over a second copy of the source."""
+    stream, ref = TetrisStream(make_source()), ReferenceThresholds(make_source())
+    for n in range(1, rows + 1):
+        stream.next_row()
+        ref._ensure_rows(n)
+        got = (stream.m[-1], stream.k[-1], stream.sigma[-1].hex(), stream.a[-1].hex(), len(stream._vals))
+        want = (ref.m[-1], ref.k[-1], ref.sigma[-1].hex(), ref.a[-1].hex(), len(ref._vals))
+        assert got == want, n
+    assert stream.pi == ref.pi and stream._labels == ref._labels
+    assert [v.hex() for v in stream._perm_vals] == [v.hex() for v in ref._perm_vals]
+
+
+ORACLE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@ORACLE
+@given(st.sampled_from([0.1, 0.25, 1 / 3, 0.4, 0.5]), st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+def test_thresholds_match_reference_constant_tails(c, head):
+    spec = DiagonalSpec(() if head is None else (head,), ConstantTail(c))
+    assert_matches_reference(lambda: enumerate(spec.values()), 150)
+
+
+@ORACLE
+@given(st.floats(0.25, 0.5), st.floats(0.2, 0.5), st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+def test_thresholds_match_reference_power_tails(c, p, head):
+    # at most about 6,400 terms for 40 rows
+    spec = DiagonalSpec(() if head is None else (head,), PowerTail(c, p))
+    assert_matches_reference(lambda: enumerate(spec.values()), 40)
+
+
+HOSTILE_TERMS = [0.25, 0.5, 0.1, 0.4, 1 / 3, -0.0, 2.0**-60, 5e-324, -1e-13]
+
+
+@ORACLE
+@given(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 0.75]),
+    st.lists(st.sampled_from(HOSTILE_TERMS), min_size=1, max_size=8),
+    st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
+    st.integers(0, 10**6),
+)
+def test_thresholds_match_reference_labelled_sources(head, pattern, bulk, first_label):
+    # (label, value) pairs with exact hits (four 0.25s, two 0.5s), signed
+    # zeros and tiny terms, repeated forever; ``bulk`` keeps the sum divergent
+    def make_source():
+        values = itertools.chain([head], itertools.cycle(pattern + bulk))
+        return zip(itertools.count(first_label, 3), values)
+
+    assert_matches_reference(make_source, 60)
