@@ -4,8 +4,9 @@ A sequence in [0, 1] is the diagonal of some orthogonal projection exactly
 when its two defect sums (mass below 1/2, co-mass at or above 1/2) are
 either both infinite or differ by an integer. This package decides that
 criterion and, when it holds, builds a real symmetric idempotent matrix
-with the requested diagonal: finite cases through majorization peeling,
-divergent cases through a lazily streamed sparse construction.
+with the requested diagonal: finite cases by a split at 1/2, a mass shift,
+two finite tetris blocks and restoring rotations, divergent cases through a
+lazily streamed sparse construction.
 """
 
 from .builder import (

@@ -1,10 +1,13 @@
 """Orchestration: decide feasibility, pick a construction route, assemble.
 
-Finite diagonals with integer sum build exactly, either by the summable /
-cosummable shortcut or (on request) by the full shift-split-restore pipeline.
-Infinite diagonals split by verdict: with both defect sums finite, constant
-0/1 tails are materialized exactly and power tails go through a reported
-approximate truncation; with a divergent defect sum the streaming tetris
+Finite diagonals with integer sum build exactly by one construction,
+``build_case1``, the shape of the paper's Case-I proof: fit the sum to its
+integer exactly, split at 1/2, shift the fractional mass across the split,
+build each side as one finite spectral-tetris block, and restore the shifted
+entries with rotations. Infinite diagonals split by verdict: with both
+defect sums finite, constant 0/1 tails are materialized exactly and power
+tails go through a reported approximate truncation, whose core takes the
+same construction; with a divergent defect sum the streaming tetris
 construction takes over, after partitioning the sequence into blocks whose
 sums still diverge.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,8 +37,7 @@ from .diagonal import (
     complement_spec,
     power_boundary,
 )
-from .horn import MajorizationInput, horn_build
-from .moves import MovePlan, OpsRequest, ops_restore, ops_shift
+from .moves import MovePlan, OpsRequest, _restore_inplace, ops_shift
 from .tetris import TetrisStream, projection_prefix
 from .verify import PROJECTION_TOL, VerificationReport, check_projection
 
@@ -58,7 +60,7 @@ class BuildOptions:
     mode: str = "exact"  # "exact" or "approximate"
     epsilon: float = 1e-6
     truncation_rows: int = 50
-    pipeline: str = "shortcut"  # "shortcut" or "full"
+    pipeline: str = "shortcut"  # "shortcut" or "full": both take build_case1
 
     def __post_init__(self):
         if self.mode not in ("exact", "approximate"):
@@ -95,51 +97,42 @@ class BuildResult:
     notices: list[str] = field(default_factory=list)
 
 
-def _spread_to_sum(vals: list[float], target: float) -> float:
-    """Fit fsum(vals) to ``target`` within 1e-12, in place, and return the
-    largest change of one entry; every finite route fits its near-integer sum
-    here once, before it builds. Each pass spreads the residual r evenly over
-    the entries that can move toward it (below 1 if r > 0, above 0 if r < 0),
-    clipped to [0, 1]. A sum already within the stop costs one fsum."""
-    r = target - math.fsum(vals)
-    if abs(r) <= 1e-12:
-        return 0.0
+def _fit_to_sum(vals: list[float], target: int) -> float:
+    """Move the entries of ``vals`` strictly inside (0, 1), in place, until
+    their exact sum is the integer ``target``, and return the largest move.
+
+    The residual r = target - sum(vals) is taken correctly rounded by
+    ``math.fsum``, so it is 0.0 exactly when the sum is exact. It is spread
+    over the m entries, largest first, each taking the running remainder
+    divided by the entries left: each moves by about r/m (more when another
+    clips at 0 or 1, whose share goes to the rest), what one entry's
+    rounding leaves goes on to the next, and the last steps land on the
+    entries with the finest ulp. Exact 0s and 1s stay exact. A tetris block
+    whose exact sum is its row count closes at its last term.
+    """
     before = list(vals)
-    for _ in range(16):
-        open_idx = [i for i in range(len(vals)) if (vals[i] < 1.0 if r > 0 else vals[i] > 0.0)]
-        if not open_idx:
-            raise ValueError(f"cannot absorb integrality residual {r} into the core")
-        per = r / len(open_idx)
-        for i in open_idx:
-            vals[i] = min(1.0, max(0.0, vals[i] + per))
-        r = target - math.fsum(vals)
-        if abs(r) <= 1e-12:
-            break
-    else:
-        if abs(r) > 1e-10:
-            raise ValueError("integrality residual failed to converge")
-    return max(abs(v - b) for v, b in zip(vals, before))
-
-
-def _build_summable(d) -> np.ndarray:
-    """Projection with diagonal ``d`` where sum(d) is an integer N: zeros are
-    stripped and the rest realizes eigenvalues (1, ..., 1) of length N."""
-    vals = [float(x) for x in d]
-    for x in vals:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"diagonal entry {x} outside [0, 1]")
-    total = math.fsum(vals)
-    rank = round(total)
-    if abs(total - rank) > INTEGRALITY_TOL:
-        raise ValueError(f"sum {total} is not an integer within {INTEGRALITY_TOL}")
-    n = len(vals)
-    if rank == 0:
-        return np.zeros((n, n))
-    core_idx = [i for i, v in enumerate(vals) if v != 0.0]
-    core = [vals[i] for i in core_idx]
-    _spread_to_sum(core, float(rank))
-    S = horn_build(MajorizationInput((1.0,) * rank, core))
-    return _corner(n, [(core_idx, S)])
+    inner = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
+    r = -math.fsum([-target, *vals])
+    while r:
+        if not inner:
+            raise ValueError(f"cannot fit the sum to {target}: {r} left over")
+        start = r
+        inner.sort(key=vals.__getitem__, reverse=True)
+        left = len(inner)
+        for i in inner:
+            v = vals[i]
+            w = v + r / left
+            if not 0.0 <= w <= 1.0:
+                w = 0.0 if w < 0.0 else 1.0
+            vals[i] = w
+            r -= w - v
+            left -= 1
+        r = -math.fsum([-target, *vals])
+        kept = [i for i in inner if 0.0 < vals[i] < 1.0]
+        if r == start and len(kept) == len(inner):
+            raise ValueError(f"cannot fit the sum to {target}: {r} left over")
+        inner = kept
+    return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
 
 
 def _complement_inplace(Q: np.ndarray) -> np.ndarray:
@@ -148,12 +141,6 @@ def _complement_inplace(Q: np.ndarray) -> np.ndarray:
     np.subtract(0.0, Q, out=Q)
     Q.flat[:: len(Q) + 1] += 1.0
     return Q
-
-
-def _build_cosummable(d) -> np.ndarray:
-    """Projection with diagonal ``d`` where sum(1 - d) is an integer:
-    the complement I - Q of a summable build Q on 1 - d."""
-    return _complement_inplace(_build_summable([1.0 - float(x) for x in d]))
 
 
 def _corner(dim: int, blocks, ones=()) -> np.ndarray:
@@ -170,98 +157,90 @@ def _corner(dim: int, blocks, ones=()) -> np.ndarray:
     return out
 
 
-def _shortcut(vals: list[float]) -> np.ndarray:
-    if math.fsum(vals) <= len(vals) / 2.0:
-        return _build_summable(vals)
-    return _build_cosummable(vals)
+def _block_products(n: int, idx: list[int], vals: list[float], rows: int):
+    """Keys i * n + j and products v_i * v_j of the first ``rows`` rows of a
+    tetris stream on the nonzero ``vals``, labelled by ``idx``.
+
+    Each entry of a row pairs with every entry of the same row, in order,
+    and the rows go in order, so a slot's products, added one after another,
+    come in the same order for (i, j) and (j, i).
+    """
+    if rows == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    stream = TetrisStream((i, v) for i, v in zip(idx, vals) if v)
+    emitted = [stream.next_row() for _ in range(rows)]
+    labels = np.asarray(stream.permuted_labels(stream.k[rows - 1]))
+    lens = np.fromiter((len(row.values) for row in emitted), dtype=np.intp, count=rows)
+    starts = np.fromiter((row.start for row in emitted), dtype=np.intp, count=rows)
+    v = np.fromiter(chain.from_iterable(row.values for row in emitted), dtype=float, count=int(lens.sum()))
+    first = np.cumsum(lens) - lens  # each row's first entry in v
+    col = labels[np.repeat(starts - first, lens) + np.arange(v.size)]
+    partners = np.repeat(lens, lens)
+    right = np.repeat(np.repeat(first, lens) - (np.cumsum(partners) - partners), partners)
+    right += np.arange(right.size)
+    key = np.repeat(col * n, partners)
+    key += col[right]
+    w = np.repeat(v, partners)
+    w *= v[right]
+    return key, w
 
 
-def build_case1(d, notices: list[str] | None = None) -> tuple[np.ndarray, MovePlan]:
-    """Finite build through the full shift-split-restore pipeline.
+def build_case1(d) -> tuple[np.ndarray, MovePlan]:
+    """Projection with diagonal ``d``, a finite sequence in [0, 1] whose sum
+    is within INTEGRALITY_TOL of an integer N, and the restoring rotations.
 
-    Picks the smallest entry i1 of the upper half, a suffix J0' of the lower
-    half summing below 1 - d[i1], and the first larger upper entry i2 whose
-    value tops J0' up to at least 1. The overshoot eta0 is shifted out of a
-    prefix I0 of J0' and onto i1, the sequence splits into a rank-one-sum
-    block on J0' + {i2} (sum exactly 1) and a cosummable rest, and targeted
-    rotations restore the shifted entries. Inputs without the needed
-    structure (ties, too few large entries) fall back to the shortcut with a
-    notice and an empty plan. A sum within INTEGRALITY_TOL of an integer is
-    fitted once, before the shift, so both parts sum to integers as built.
+    The sum is fitted to N exactly (``_fit_to_sum``). The indices split at
+    1/2 into J0 = {d < 1/2} and J1 = {d >= 1/2}; with a the exact sum over
+    J0, eta = frac(a) is shifted off J0 (toward 0) and onto J1 (toward 1) by
+    ``ops_shift``, which leaves J0 summing to floor(a) and 1 - d over J1 to
+    N_B = |J1| - N + floor(a). Each side, fitted exactly once more, is one
+    finite tetris block that closes at its last term: P' is the sum of v v^T
+    over the rows of J0's block plus I - (the same over 1 - d on J1), formed
+    from the rows' pair products, so P' == P'^T bit for bit. Rotations on
+    I0 x I1 then restore the shifted entries; each is feasible because
+    shifted(i) <= d(i) < 1/2 <= d(j) <= shifted(j). Exact 0s and 1s stay
+    decoupled, with exact 0 and 1 on the diagonal.
     """
     vals = [float(x) for x in d]
+    for x in vals:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"diagonal entry {x} outside [0, 1]")
     total = math.fsum(vals)
     rank = round(total)
     if abs(total - rank) > INTEGRALITY_TOL:
         raise ValueError(f"sum {total} is not an integer within {INTEGRALITY_TOL}")
-    _spread_to_sum(vals, float(rank))
-
-    def fallback(reason: str) -> tuple[np.ndarray, MovePlan]:
-        msg = f"pipeline preconditions unmet ({reason}); using the shortcut route"
-        if notices is not None:
-            notices.append(msg)
-        return _shortcut(vals), MovePlan()
-
+    _fit_to_sum(vals, rank)
     j0 = [i for i, v in enumerate(vals) if v < 0.5]
     j1 = [i for i, v in enumerate(vals) if v >= 0.5]
-    if not j0 or len(j1) < 2:
-        return fallback("need a nonempty lower half and at least two upper entries")
-    i1 = min(j1, key=lambda i: (vals[i], i))
-    cap = 1.0 - vals[i1]
-    j0p: list[int] = []
-    for i in reversed(j0):
-        if math.fsum([vals[k] for k in j0p] + [vals[i]]) < cap:
-            j0p.insert(0, i)
-        else:
-            break
-    if not j0p:
-        return fallback("no lower suffix fits under 1 - d[i1]")
-    s0 = math.fsum(vals[i] for i in j0p)
-    i2 = next(
-        (i for i in j1 if vals[i] > vals[i1] and vals[i] + s0 >= 1.0 - 1e-12),
-        None,
-    )
-    if i2 is None:
-        return fallback("no strictly larger upper entry reaches 1 with the suffix")
-
-    eta0 = max(0.0, math.fsum([vals[i] for i in j0p] + [vals[i2], -1.0]))
-    if eta0 > 1e-15:
-        i0: list[int] = []
-        for i in j0p:
-            i0.append(i)
-            if math.fsum(vals[k] for k in i0) > eta0:
-                break
-        d_shift = ops_shift(OpsRequest(vals, i0, [i1], eta0))
-    else:
-        eta0 = 0.0
-        i0 = []
-        d_shift = list(vals)
-
-    part1 = sorted(j0p + [i2])
-    part2 = sorted(set(range(len(vals))).difference(part1))
-    p1 = _build_summable([d_shift[i] for i in part1])
-    p2 = _build_cosummable([d_shift[i] for i in part2])
-    E = _corner(len(vals), [(part1, p1), (part2, p2)])
-    if eta0 > 0.0:
-        return ops_restore(E, d_shift, vals, i0, [i1])
-    return E, MovePlan()
+    low = [vals[i] for i in j0]
+    rows_a = math.floor(math.fsum(low))
+    eta = math.fsum([-rows_a, *low])  # frac of the exact sum, correctly rounded
+    if eta < 0.0:  # the sum lies just below the integer it rounds to
+        rows_a -= 1
+        eta += 1.0
+    rows_b = len(j1) - rank + rows_a
+    shifted = ops_shift(OpsRequest(vals, j0, j1, eta)) if eta else list(vals)
+    low = [shifted[i] for i in j0]
+    high = [1.0 - shifted[j] for j in j1]
+    _fit_to_sum(low, rows_a)
+    _fit_to_sum(high, rows_b)
+    n = len(vals)
+    key_a, w_a = _block_products(n, j0, low, rows_a)
+    key_b, w_b = _block_products(n, j1, high, rows_b)
+    np.negative(w_b, out=w_b)
+    P = np.bincount(np.concatenate((key_a, key_b)), np.concatenate((w_a, w_b)), minlength=n * n)
+    P = P.astype(float, copy=False).reshape(n, n)  # with no pair at all, bincount gives int64 zeros
+    P.flat[np.asarray(j1, dtype=np.intp) * (n + 1)] += 1.0
+    for i, x in zip(j0, low):
+        shifted[i] = x
+    for j, x in zip(j1, high):
+        shifted[j] = 1.0 - x
+    return P, _restore_inplace(P, shifted, vals, j0, j1)
 
 
-def _build_finite(vals: list[float], report: KadisonReport, options: BuildOptions) -> BuildResult:
-    ones = [i for i, v in enumerate(vals) if v == 1.0]
-    core_idx = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
-    notices: list[str] = []
-    blocks = []
-    if core_idx:
-        core = [vals[i] for i in core_idx]
-        if options.pipeline == "full":
-            M, _ = build_case1(core, notices)
-        else:
-            M = _shortcut(core)
-        blocks.append((core_idx, M))
-    out = _corner(len(vals), blocks, ones)
-    rep = check_projection(out, vals)
-    return BuildResult(kadison=report, matrix=out, report=rep, notices=notices)
+def _build_finite(vals: list[float], report: KadisonReport) -> BuildResult:
+    P, _ = build_case1(vals)
+    return BuildResult(kadison=report, matrix=P, report=check_projection(P, vals))
 
 
 def _build_power_approximate(
@@ -280,8 +259,7 @@ def _build_power_approximate(
     vals = [float(x) for x in spec.materialize(dim)]
     zero_idx = [i for i, v in enumerate(vals) if v < eps]
     one_idx = [i for i, v in enumerate(vals) if v > 1.0 - eps]
-    core_idx = [i for i, v in enumerate(vals) if eps <= v <= 1.0 - eps]
-    core = [vals[i] for i in core_idx]
+    core = [v for v in vals if eps <= v <= 1.0 - eps]
 
     from scipy.special import zeta  # costs ~0.3 s, so only power tails pay it
 
@@ -297,8 +275,10 @@ def _build_power_approximate(
         )
     if not core and rank != 0:
         raise ValueError("no core entries left to carry the integer rank; decrease epsilon")
-    worst_spread = _spread_to_sum(core, float(rank))
-    out = _corner(dim, [(core_idx, _build_summable(core))], one_idx)
+    # zeroed and raised entries are exact 0s and 1s, which the fit keeps
+    fitted = [0.0 if v < eps else 1.0 if v > 1.0 - eps else v for v in vals]
+    worst_spread = _fit_to_sum(fitted, rank + len(one_idx))
+    out, _ = build_case1(fitted)
 
     # A core entry is off by its spread plus the exact build's own rounding,
     # which stays within PROJECTION_TOL; zeroed and raised entries are off by
@@ -431,7 +411,7 @@ def build(spec, options: BuildOptions | None = None) -> BuildResult:
     if report.verdict is Verdict.INFEASIBLE:
         raise InfeasibleDiagonalError(report)
     if spec.is_finite:
-        return _build_finite([float(x) for x in spec.prefix], report, options)
+        return _build_finite([float(x) for x in spec.prefix], report)
     if report.verdict is Verdict.CASE_II:
         return _build_case2_result(spec, report, options)
 
@@ -440,7 +420,7 @@ def build(spec, options: BuildOptions | None = None) -> BuildResult:
         if tail.c not in (0.0, 1.0):
             raise AssertionError("finite-sum verdict with a non-trivial constant tail")
         dim = len(spec.prefix) + options.truncation_rows
-        return _build_finite([float(x) for x in spec.materialize(dim)], report, options)
+        return _build_finite([float(x) for x in spec.materialize(dim)], report)
     if options.mode != "approximate":
         raise ValueError(
             "a summable infinite tail cannot be materialized exactly; "

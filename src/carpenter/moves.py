@@ -3,7 +3,7 @@
 Every spectrum-preserving step in the package is one record, a :class:`Move`
 (i, j, c, s): conjugation by the plane rotation on coordinates i and j with
 cosine c and sine s. ``rotate_pair_inplace`` applies it to a dense
-symmetric matrix, row pass then column pass, for ``ops_restore`` and
+symmetric matrix, row pass then column pass, for the restore and
 ``MovePlan.replay``; ``rotate_rows_inplace`` applies it to the rows of a
 sparse factor W (the matrix W W^T), for ``horn_build``'s repairs.
 ``rotate_to`` picks the rotation that lands the (i, i) entry on a target,
@@ -17,7 +17,8 @@ matrix to rounding only.
 of mass off a low block (toward 0) and onto a high block (toward 1).
 ``ops_restore`` undoes such an edit on an operator level: given a symmetric
 matrix whose diagonal is the shifted sequence, it applies targeted rotations
-until the original diagonal reappears, and returns them as a MovePlan.
+until the original diagonal reappears, and returns them as a MovePlan; its
+pairing loop, ``_restore_inplace``, also serves ``build_case1``.
 """
 
 from __future__ import annotations
@@ -286,6 +287,17 @@ def ops_restore(
     for k in i1:
         if d_tilde[k] - d[k] < -1e-12:
             raise ValueError(f"I1 index {k} moved in the wrong direction for restoration")
+    plan = _restore_inplace(E, d_tilde, d, i0, i1)
+    residual = float(np.max(np.abs(np.diag(E) - np.asarray(d))))
+    if residual > 1e-9:
+        raise AssertionError(f"restoration left diagonal residual {residual}")
+    return E, plan
+
+
+def _restore_inplace(E: np.ndarray, d_tilde, d, i0, i1) -> MovePlan:
+    """The pairing loop of ``ops_restore``, on ``E`` itself and with no
+    check of ``E``: each rotation costs rows and columns i and j of ``E``.
+    Raises ValueError when the deficits and surpluses do not balance."""
     deficits = [(k, d[k] - d_tilde[k]) for k in sorted(i0) if d[k] - d_tilde[k] > 1e-14]
     surpluses = [(k, d_tilde[k] - d[k]) for k in sorted(i1) if d_tilde[k] - d[k] > 1e-14]
     total_def = math.fsum(amt for _, amt in deficits)
@@ -313,7 +325,4 @@ def ops_restore(
             b += 1
         else:
             surpluses[b] = (kj, eps)
-    residual = float(np.max(np.abs(np.diag(E) - np.asarray(d))))
-    if residual > 1e-9:
-        raise AssertionError(f"restoration left diagonal residual {residual}")
-    return E, plan
+    return plan

@@ -257,9 +257,11 @@ class TetrisStream:
         """Thresholds m, k, the permutation and sigma, a for rows 1..n.
 
         The terms are nonnegative, so prefix sums never decrease: m_n is the
-        first count past m_{n-1} whose source-order sum reaches
+        first count from m_{n-1} + 2 on whose source-order sum reaches
         ``_row_need(n)``, and k_n the same in permuted order. Both come from
-        bisection over exact prefix sums.
+        bisection over exact prefix sums. Terms of at most 1/2 need two per
+        row; a sum that only rounds up to n could reach it with one (1/2 -
+        2**-54 twice, 1/2 twice, 2**-53: the ulp below 2 is twice that below 1).
         """
         while len(self.k) < n:
             nn = len(self.k) + 1
@@ -267,8 +269,8 @@ class TetrisStream:
             target = float(nn)
             need = _row_need(target)
             sums = self._sums
-            i = bisect_left(sums, need, 1)
-            while i == len(sums):
+            i = bisect_left(sums, need, 2)
+            while i >= len(sums):
                 self._pull(target)
                 i = bisect_left(sums, need, i)
             mn = prev + i
@@ -285,7 +287,7 @@ class TetrisStream:
             perm_sums = list(accumulate(map(exacts.__getitem__, order), initial=sums[0]))
             # no later search reads a term before m_n
             del exacts[:i], sums[:i]
-            kn = prev + bisect_left(perm_sums, need, 1)
+            kn = prev + bisect_left(perm_sums, need, 2)
             if not prev + 2 <= kn <= mn:
                 raise AssertionError(
                     f"threshold sandwich violated at n={nn}: "

@@ -19,7 +19,7 @@ from carpenter import (
     build_case2,
     tail_sums,
 )
-from carpenter.builder import _build_cosummable, _build_summable
+from carpenter import moves as carpenter_moves
 from carpenter.diagonal import INTEGRALITY_TOL
 from carpenter.tetris import _CHUNK
 
@@ -28,97 +28,85 @@ def idempotence_defect(P):
     return float(np.max(np.abs(P @ P - P)))
 
 
-def test_build_summable_two_thirds():
+def test_case1_two_thirds():
+    # J0 is empty and eta = 0: one tetris block on 1 - d, complemented
     d = [2 / 3, 2 / 3, 2 / 3]
-    P = _build_summable(d)
+    P, plan = build_case1(d)
     assert P.shape == (3, 3)
+    assert len(plan) == 0
     assert np.trace(P) == pytest.approx(2.0, abs=1e-12)
     assert idempotence_defect(P) <= 1e-12
-    assert np.diag(P) == pytest.approx(d, abs=1e-10)
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
 
 
-def test_build_summable_strips_zeros_and_keeps_ones():
-    P = _build_summable([1.0, 0.0])
-    assert np.array_equal(P, np.diag([1.0, 0.0]))
+def test_case1_one_third():
+    # J1 is empty and eta = 0: one tetris block on d
+    d = [1 / 3, 1 / 3, 1 / 3]
+    P, plan = build_case1(d)
+    assert len(plan) == 0
+    assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
+    assert idempotence_defect(P) <= 1e-12
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
 
 
-def test_build_summable_rank_two():
+def test_case1_rank_two():
+    # J0 = {2}, eta = 0.3: 0.3 moves onto 0.9 and 0.8, two rotations restore it
     d = [0.9, 0.8, 0.3]
-    P = _build_summable(d)
-    assert np.diag(P) == pytest.approx(d, abs=1e-10)
+    P, plan = build_case1(d)
+    assert len(plan) == 2
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
     assert idempotence_defect(P) <= 1e-12
     evals = np.sort(np.linalg.eigvalsh(P))
     assert evals == pytest.approx([0.0, 1.0, 1.0], abs=1e-8)
 
 
-def test_build_summable_rejects_bad_input():
-    with pytest.raises(ValueError):
-        _build_summable([0.5, 1.2])
-    with pytest.raises(ValueError):
-        _build_summable([0.3, 0.3])
+def test_case1_exact_zeros_and_ones():
+    # nothing to shift, no block rows: the diagonal itself, bit for bit
+    for d in ([1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0], []):
+        P, plan = build_case1(d)
+        assert np.array_equal(P, np.diag(d)) and len(plan) == 0
+    # and exact 0s and 1s stay decoupled from the rest
+    P, _ = build_case1([1.0, 0.4, 0.0, 0.6, 1.0])
+    for i in (0, 2, 4):
+        assert np.all(np.delete(P[i], i) == 0.0) and P[i, i] == [1.0, 0.0, 1.0][i // 2]
 
 
-def test_build_cosummable_one_third():
-    d = [1 / 3, 1 / 3, 1 / 3]
-    P = _build_cosummable(d)
-    assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
-    assert idempotence_defect(P) <= 1e-12
-    assert np.diag(P) == pytest.approx(d, abs=1e-10)
-
-
-def test_build_cosummable_identity():
-    assert np.array_equal(_build_cosummable([1.0, 1.0]), np.eye(2))
-
-
-def test_complement_swaps_diagonal():
-    # a cosummable build is the complement I - Q of a summable build Q on 1 - d
-    d = [1 / 3, 1 / 3, 1 / 3]
-    Q = _build_cosummable(d)
-    assert np.array_equal(Q, np.eye(3) - _build_summable([1.0 - x for x in d]))
-    assert np.diag(Q) == pytest.approx(d, abs=1e-10)
-    assert idempotence_defect(Q) <= 1e-12
-    assert np.array_equal(_build_cosummable([0.0, 0.0]), np.zeros((2, 2)))
-    assert np.array_equal(_build_cosummable([0.0, 1.0]), np.diag([0.0, 1.0]))
-
-
-def test_case1_full_pipeline_frozen_instance():
-    # i1 = position 4 (value 0.6), J0' = {3}, i2 = 5, eta0 = 0.2: one shift
-    # of 0.2 from position 3 onto position 4, restored by a single rotation
-    d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
-    notices = []
-    P, plan = build_case1(d, notices)
-    assert notices == []
-    assert len(plan.moves) == 1
-    assert np.diag(P) == pytest.approx(d, abs=1e-9)
-    assert idempotence_defect(P) <= 1e-9
-    assert np.trace(P) == pytest.approx(3.0, abs=1e-8)
-
-
-def test_case1_falls_back_on_tied_upper_entries():
-    # no upper entry strictly exceeds d[i1] = 0.7, so the split cannot form
-    d = [0.2, 0.2, 0.2, 0.7, 0.7]
-    notices = []
-    P, plan = build_case1(d, notices)
-    assert len(notices) == 1
-    assert "shortcut" in notices[0]
-    assert plan.moves == []
-    assert np.diag(P) == pytest.approx(d, abs=1e-9)
-    assert idempotence_defect(P) <= 1e-9
-
-
-def test_case1_falls_back_without_lower_half():
-    d = [0.6, 0.7, 0.7]
-    notices = []
-    P, plan = build_case1(d, notices)
-    assert len(notices) == 1
-    assert plan.moves == []
-    assert np.diag(P) == pytest.approx(d, abs=1e-9)
-    assert np.trace(P) == pytest.approx(2.0, abs=1e-8)
-
-
-def test_case1_rejects_non_integer_sum():
-    with pytest.raises(ValueError):
+def test_case1_rejects_bad_input():
+    with pytest.raises(ValueError, match="outside"):
+        build_case1([0.5, 1.2])
+    with pytest.raises(ValueError, match="not an integer"):
+        build_case1([0.3, 0.3])
+    with pytest.raises(ValueError, match="not an integer"):
         build_case1([0.4, 0.4])
+
+
+def test_case1_frozen_instance():
+    # J0 = {0, 1, 2, 3} sums to 1.5, so eta = 0.5: ops_shift takes 0.4 off
+    # position 0 and 0.1 off position 1 and puts 0.4 on position 4 and 0.1
+    # on position 5. The blocks realize (0, 0.3, 0.4, 0.3) and 1 - (1, 1), and
+    # two rotations, (0, 4) and (1, 5), restore the shifted entries.
+    d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
+    P, plan = build_case1(d)
+    assert [(m.i, m.j) for m in plan.moves] == [(0, 4), (1, 5)]
+    assert np.array_equal(P, P.T)
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
+    assert idempotence_defect(P) <= 1e-15
+    assert np.trace(P) == pytest.approx(3.0, abs=1e-15)
+    # the restore rotations replayed on P' give P
+    P0 = P.copy()
+    for m in reversed(plan.moves):
+        carpenter_moves.rotate_pair_inplace(P0, m.i, m.j, m.c, -m.s)
+    assert np.max(np.abs(plan.replay(P0) - P)) <= 1e-15
+
+
+def test_case1_ties_and_a_missing_half():
+    # tied upper entries and an empty lower half need no special route
+    for d in ([0.2, 0.2, 0.2, 0.7, 0.7], [0.6, 0.7, 0.7]):
+        P, _ = build_case1(d)
+        assert np.array_equal(P, P.T)
+        assert np.diag(P) == pytest.approx(d, abs=1e-15)
+        assert idempotence_defect(P) <= 1e-15
+        assert np.trace(P) == pytest.approx(round(math.fsum(d)), abs=1e-14)
 
 
 def test_build_rejects_infeasible_singleton():
@@ -308,25 +296,21 @@ def test_approximation_error_bounds_the_diagonal():
 
 
 # sha256 of build(d).matrix.tobytes(), d = integer_sum_diagonal(default_rng(n), n),
-# re-recorded (with the full-pipeline and n = 1000 pins) when horn_build
-# moved to the factor W, S = W W^T.
+# re-recorded (with the full-pipeline and n = 1000 pins) when finite builds
+# moved from horn_build to build_case1's two tetris blocks.
 BUILD_DIGESTS = {
-    5: "a840236c5d5e74a77f1b1c226faf9bc965a2c91d35a0fde26e4b861557452633",
-    50: "8ff0d266290cfad8ab98e921125019a39482d774c006349001ee5adcf7a881b2",
-    300: "ce7ed6b30a35b398924e719f7d05c523c8cf9057d2251bbd5e550eb08ca4946d",
-    # sizes where a single bump shifts hundreds of head entries; recorded
-    # with the planner that scanned the whole head on every peel
-    1000: "962dc24681650d4deb08385d541dc07ad345d52cc8ebe0ab1d6b83d360d07b33",
-    4000: "3353771c00afb36f536965a8900e412592c007e1f6308a3948d83076cfaf9f78",
+    5: "e1e278a41523260fd038e7894ee3170d7a6b5aaa4938ecd957fdadc07da51a36",
+    50: "0f5e29d0d16d6ac82dddd83e10466333db812606404bcb514f4edf61eff3b491",
+    300: "45fab32e232c782fab65807e21e90085e885d71fd7889e0a677d0d8dc8d94015",
+    1000: "8944158f0eb7034ad86a4a19e7ee75ba26a0c1b9dbdefd187af70bea81a5c5de",
+    4000: "d614335d16b2974a128a781038d60744f729ce80ecd454d460c1bc10ee421214",
 }
-FULL_PIPELINE_DIGEST = "2a544cc5baced751895de33ef23688f5e88a51db5cde7e02f7cf795aba9b1c10"
-# n = 1000 from integer_sum_diagonal(default_rng(1000), 1000), where the peel
-# falls back to _waterfall dozens of times: sha256 of the matrix bytes and of
-# json.dumps(report.to_json_dict(), sort_keys=True). The idempotence defect
-# was 9.7e-13 before the waterfall's slack was compensated and is 1.1e-15.
+FULL_PIPELINE_DIGEST = "49da29c2dc400684684a30884684502e795009d6a1a44b003d6667b7c927ede0"
+# n = 1000 from integer_sum_diagonal(default_rng(1000), 1000): sha256 of the
+# matrix bytes and of json.dumps(report.to_json_dict(), sort_keys=True).
 BUILD_1000_DIGESTS = (
-    "962dc24681650d4deb08385d541dc07ad345d52cc8ebe0ab1d6b83d360d07b33",
-    "ad9f09d3c42696c6c8d914d1eab3c6b1ecb1bffe06a1c68b51b205e99209de48",
+    "8944158f0eb7034ad86a4a19e7ee75ba26a0c1b9dbdefd187af70bea81a5c5de",
+    "889d2e759b363f61e8a2dfefdf12b0c9ab15a4cc37026e76155e147d50f6f725",
 )
 
 
@@ -388,7 +372,7 @@ def test_build_bit_identical(n):
 
 
 def test_full_pipeline_bit_identical():
-    # the frozen case-1 instance of test_case1_full_pipeline_frozen_instance
+    # the instance of test_case1_frozen_instance; both pipelines take the one route
     res = build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
     assert hashlib.sha256(res.matrix.tobytes()).hexdigest() == FULL_PIPELINE_DIGEST
 
@@ -417,8 +401,8 @@ def result_digests(res):
 
 
 # Corners of routes with no other pin, recorded before the corner assembly
-# was shared by every route; the two horn-backed constant-tail corners were
-# re-recorded when horn_build moved to the factor W. Both case-II
+# was shared by every route; the two constant-tail corners were re-recorded
+# when finite builds moved from horn_build to build_case1. Both case-II
 # specs carry exact 0s and 1s; the second has c > 1/2, so its two blocks
 # stream 1 - d.
 CORNER_SPECS = {
@@ -437,11 +421,11 @@ CORNER_DIGESTS = {
         "0feb321b9ff33d38ca683ac20ee63077b754fef910a697be24189e8921d43c37",
     ),
     "constant-0-tail": (
-        "8eac7303dcb2c0f6987fc47f4697391398678cb6738d59325bff97d34e8c1c4c",
+        "872c67ea598dc81af36f11d0f4860606d538dd82a52e02174f8d818a2001b524",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
     "constant-1-tail": (
-        "5b550a71d3a6be98894109bd552125bc6ebf8c5afb88f7eead7875e7de5728b0",
+        "e13957ccb1a850890b78becd1776f3e621586a67bb0075353bf183fe57381866",
         "33122bf9e6ceddf0df9caca4106e4ddcfa9de5ca6fc1c84f702ce4607eaad533",
     ),
 }
@@ -463,9 +447,9 @@ def test_corner_streams_hold_at_most_twice_the_terms_they_use(name):
 
 
 # random_approximate_spec(default_rng(7)) at epsilon 1e-3: sha256 of the
-# matrix bytes (re-recorded when horn_build moved to the factor W), and the
-# reported bound, which that did not move.
-POWER_APPROX_PIN = ("0a28d5a58ab33ca21be7c18fe7ffc1f5db8a71d9f5da956558fff45962e36b8d", 0.0009629343740758971)
+# matrix bytes (re-recorded when the core moved from horn_build to
+# build_case1), and the reported bound, which that did not move.
+POWER_APPROX_PIN = ("453c36d07d163db76fe3750745f07c9da5d38126df4ec5c6da68a7547c3b2bac", 0.0009629343740758971)
 
 
 def test_power_approximate_bit_identical():

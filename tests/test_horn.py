@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from carpenter import BuildOptions, MajorizationInput, Move, build, check_projection, horn_build
+from carpenter import MajorizationInput, Move, check_projection, horn_build
 from carpenter import horn
 from carpenter.horn import _plan_peels, _sums_within, _waterfall
-from carpenter.builder import _spread_to_sum
+from carpenter.builder import _fit_to_sum
 from carpenter.moves import rotate_rows_inplace
 from test_builder import integer_sum_diagonal
 
@@ -309,14 +309,13 @@ def planner_args(inp):
 
 
 def build_core(d):
-    """The input that build(d) hands horn_build for an integer-sum d: the
-    complement 1 - d when the sum is above n / 2, without its zeros, spread
-    to its integer sum."""
+    """The projection input of an integer-sum d: the complement 1 - d when
+    the sum is above n / 2, without its zeros, fitted to its integer sum."""
     if math.fsum(d) > len(d) / 2.0:
         d = [1.0 - x for x in d]
     core = [x for x in d if x != 0.0]
     rank = round(math.fsum(core))
-    _spread_to_sum(core, float(rank))
+    _fit_to_sum(core, rank)
     return MajorizationInput((1.0,) * rank, core)
 
 
@@ -367,11 +366,9 @@ def test_planner_is_handed_a_sorted_nonnegative_head(monkeypatch):
         horn_build(random_majorization_input(rng, n_max=1 + k % 20, m_max=60))
     for n in (6, 40, 300):
         d = integer_sum_diagonal(np.random.default_rng(n), n)
-        for pipeline in ("shortcut", "full"):
-            build(d, BuildOptions(pipeline=pipeline))
+        horn_build(MajorizationInput((1.0,) * round(math.fsum(d)), d))
         tiny = d + (-rng.uniform(0.0, 1e-12, 3)).tolist()
         horn_build(MajorizationInput((1.0,) * round(math.fsum(d)), tiny))
-    build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
     assert len(heads) > 200
     for vals in heads:
         assert min(vals) >= 0.0
@@ -486,8 +483,8 @@ def test_factor_replay_is_bitwise():
 
 
 def pinned_projection_input(n):
-    """The core horn_build gets from build(integer_sum_diagonal(default_rng(n), n))
-    for n = 300 and 1000: every entry, rank = the sum (both sums lie below n / 2)."""
+    """integer_sum_diagonal(default_rng(n), n) with rank = its sum: for n =
+    300 and 1000 both sums lie below n / 2."""
     d = integer_sum_diagonal(np.random.default_rng(n), n)
     return MajorizationInput((1.0,) * round(math.fsum(d)), d)
 

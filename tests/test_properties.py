@@ -6,11 +6,13 @@ stored between runs.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import carpenter.builder
 from carpenter import BuildOptions, MajorizationInput, build, check_projection, horn_build
 from carpenter.diagonal import INTEGRALITY_TOL
 
@@ -92,3 +94,78 @@ def test_build_on_hostile_diagonals(d, pipeline):
     assert r <= INTEGRALITY_TOL
     res = build(d, BuildOptions(pipeline=pipeline))
     assert_exact_projection(res.matrix, d, res.report, r)
+
+
+# The finite route of build_case1: shift eta off J0 = {d < 1/2} onto
+# J1 = {d >= 1/2}, one tetris block on each side, restore.
+
+DYADIC_LOW = st.integers(0, 511).map(lambda k: k / 1024.0)  # [0, 1/2)
+DYADIC_HIGH = st.integers(512, 1024).map(lambda k: k / 1024.0)  # [1/2, 1]
+
+
+def closed(values):
+    """``values`` in [0, 1/2] with entries of at most 1/4 appended until the
+    sum, exact in dyadics, is an integer."""
+    pad = math.ceil(sum(values)) - sum(values)
+    while pad > 0.0:
+        values.append(min(pad, 0.25))
+        pad -= values[-1]
+    return values
+
+
+@st.composite
+def split_diagonals(draw):
+    """Dyadic entries below 1/2 summing to an integer, and entries at or
+    above 1/2 whose co-values sum to an integer, so that eta = 0; then a
+    transfer of delta (0, 2^-53 or 2^-52, either sign) from an entry of J1
+    to one of J0, which puts eta within 2^-52 of 0 or of 1. Either side may
+    be empty, hold exact 0s, 1s, halves or 1 - 2^-53, and its block may
+    have no row (N_A = 0 or N_B = 0)."""
+    low = closed(draw(st.lists(DYADIC_LOW, max_size=12)))
+    co = closed([1.0 - x for x in draw(st.lists(st.one_of(DYADIC_HIGH, st.just(1.0 - 2.0**-53)), max_size=12))])
+    high = [1.0 - x for x in co]
+    delta = draw(st.sampled_from([0.0, 2.0**-53, -(2.0**-53), 2.0**-52, -(2.0**-52)]))
+    i = [k for k, x in enumerate(low) if 0.0 <= x + delta < 0.5]
+    j = [k for k, x in enumerate(high) if 0.5 <= x - delta <= 1.0]
+    if delta and i and j:
+        low[draw(st.sampled_from(i))] += delta
+        high[draw(st.sampled_from(j))] -= delta
+    return draw(st.permutations(low + high))
+
+
+def dense_check(P, d):
+    """Acceptance criterion 1's checks, on the dense matrix."""
+    assert np.array_equal(P, P.T)
+    assert float(np.max(np.abs(P @ P - P), initial=0.0)) <= 1e-9
+    assert float(np.max(np.abs(np.diag(P) - np.asarray(d)), initial=0.0)) <= 1e-9
+    assert abs(float(np.trace(P)) - round(math.fsum(d))) <= 1e-8
+
+
+@PROFILE
+@given(st.one_of(split_diagonals(), integer_sum_diagonals()))
+@example([])
+@example([0.0] * 5)
+@example([1.0] * 5)
+@example([0.0, 1.0, 0.0, 1.0])
+@example([0.5] * 6)  # J0 empty, ties at 1/2
+@example([0.25] * 8)  # J1 empty
+@example([0.3, 0.7])  # N_A = N_B = 0
+@example([0.3, 0.7, 0.5, 0.5])  # N_A = 0
+@example([0.3, 0.7] + [0.25] * 4)  # N_B = 0
+@example([0.5 + 2.0**-53, 0.5, 0.5, 0.5, 1.0 - 2.0**-53])  # a block row with one term by rounding
+@example([0.25, 0.25, 0.25, 0.25 + 2.0**-52, 1.0 - 2.0**-52])  # eta = 2^-52
+@example([0.25, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53])  # eta = 1 - 2^-53
+@example([1.0 - 2.0**-53, 2.0**-53])
+def test_route_on_hostile_diagonals(d):
+    starts = []
+
+    def recording(E, *args):
+        starts.append(E.copy())
+        return restore(E, *args)
+
+    restore = carpenter.builder._restore_inplace
+    with mock.patch.object(carpenter.builder, "_restore_inplace", recording):
+        res = build(d)
+    assert len(starts) == 1 and np.array_equal(starts[0], starts[0].T)
+    assert res.report.all_pass, res.report
+    dense_check(res.matrix, d)

@@ -25,7 +25,11 @@ from carpenter import (
     completed_columns,
     projection_prefix,
 )
-from carpenter.tetris import _CHUNK, _SCALE, SOLVE_A_TOL, _exact, _row_need, _solve_a
+from carpenter.builder import _fit_to_sum
+from carpenter.tetris import _CHUNK, _SCALE, ROW_NORM_TOL, SOLVE_A_TOL, _exact, _row_need, _solve_a
+
+
+ORACLE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 def const_stream(c, head=None):
@@ -261,6 +265,113 @@ def test_finite_source_exhausts():
     with pytest.raises(NeedsMoreTermsError) as err:
         s.next_row()
     assert str(err.value) == "source exhausted after 7 terms; partial sum cannot reach 3.0"
+
+
+# The finite-source contract: a source whose exact sum is the integer N gives
+# N rows, row N closes at the last nonzero term (k_N = that term's count),
+# every touched column's mass equals its value, and row N + 1 raises.
+
+
+def close_finite_source(values):
+    """Stream every row of the finite source ``values``; returns the stream,
+    the rows and the NeedsMoreTermsError of the row after the last."""
+    stream = TetrisStream(enumerate(values))
+    rows = [stream.next_row() for _ in range(round(math.fsum(values)))]
+    with pytest.raises(NeedsMoreTermsError) as err:
+        stream.next_row()
+    return stream, rows, str(err.value)
+
+
+def assert_block_closes(values, gram_tol=1e-14, mass_tol=2.0**-53):
+    """The contract on ``values``, with row norms and overlaps within
+    ``gram_tol`` and column masses within ``mass_tol``; returns the terms no row touches, whose sum lies below
+    half an ulp of N: the rounded sum reaches N without them, as
+    ``_row_need`` allows."""
+    stream, rows, message = close_finite_source(values)
+    n = len(rows)
+    assert message == f"source exhausted after {len(values)} terms; partial sum cannot reach {float(n + 1)}"
+    if n:
+        assert check_rows(rows) <= gram_tol
+    count, used = (stream.k[-1], stream.m[-1]) if n else (0, 0)
+    assert n == 0 or stream.permuted_values(count)[-1] > 0.0
+    untouched = stream.permuted_values(used)[count:] + values[used:]
+    assert math.fsum(untouched) <= math.ulp(n) / 2
+    masses = stream._col_mass[:count]
+    assert len(masses) == count
+    for mass, value in zip(masses, stream.permuted_values(count)):
+        assert abs(mass - value) <= mass_tol, (mass, value)
+    return untouched
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.375, 0.25, 0.125, 0.5, 0.3125, 0.4375],  # N = 2, dyadic
+        [0.5] * 6,  # entries exactly 1/2
+        [0.25] * 4 + [0.5, 0.125, 0.375, 0.0, 0.0],  # trailing zeros
+        [0.0],  # a single entry, N = 0
+        [0.0, 0.0, 0.0],  # N = 0
+        [0.5, 0.5],  # N = 1 on two terms
+        [0.75, 0.25],  # a first entry above 1/2
+    ],
+)
+def test_finite_source_closes_at_its_last_term(values):
+    assert not any(assert_block_closes(values))
+
+
+def test_finite_source_row_two_needs_two_new_terms():
+    # The rounded sum 2 - 2^-53 reaches row 2 one term past m_1 = 3 (the ulp
+    # below 2 is twice that below 1); the row still takes two new terms, and
+    # the block closes at its last term, with column masses within 1.5 ulps.
+    values = [0.5 - 2.0**-54, 0.5 - 2.0**-54, 0.5, 0.5, 2.0**-53]
+    assert not any(assert_block_closes(values, mass_tol=2.0**-52))
+
+
+def test_finite_source_with_subnormals():
+    # A trailing subnormal lies below what row N needs, so the block closes
+    # on the terms before it and leaves its column untouched; fitted to the
+    # integer, it becomes 0.
+    values = [0.25, 0.25, 0.25, 0.25, 5e-324]
+    stream, rows, message = close_finite_source(values)
+    assert len(rows) == 1 and stream.k == [4]
+    assert message == "source exhausted after 5 terms; partial sum cannot reach 2.0"
+    _fit_to_sum(values, 1)
+    assert values == [0.25, 0.25, 0.25, 0.25, 0.0]
+    assert not any(assert_block_closes(values))
+
+
+BLOCK_TERMS = [0.5, 0.25, 1.0 / 3.0, 0.5 - 2.0**-54, 2.0**-53, 2.0**-1022, 5e-324, 0.0]
+
+
+@st.composite
+def near_integer_blocks(draw):
+    """Entries in [0, 1/2], hostile or arbitrary, closed by entries of at
+    most 1/2 to a sum within rounding of an integer, then one entry raised
+    by up to 1e-9: the fit then lowers entries, so none rises past 1/2 by
+    more than rounding, as in a block of the finite route."""
+    values = draw(st.lists(st.one_of(st.sampled_from(BLOCK_TERMS), st.floats(0.0, 0.5)), min_size=1, max_size=60))
+    pad = math.ceil(math.fsum(values)) - math.fsum(values)
+    while pad > 0.5:
+        values.append(0.5)
+        pad -= 0.5
+    values.insert(draw(st.integers(0, len(values))), pad)
+    i = draw(st.integers(0, len(values) - 1))
+    values[i] = min(0.5, values[i] + draw(st.floats(0.0, 1e-9)))
+    return values
+
+
+@ORACLE
+@given(near_integer_blocks())
+def test_fitted_finite_sources_close(values):
+    # whatever the fitter returns for such a block closes at its last term.
+    # Rows and columns hold to the stream's own ROW_NORM_TOL: a term below
+    # _SNAP_TOL may lose its root to the snap (column masses off by up to
+    # 1.0e-13), and entries within 1e-10 of 1/2 leave Gram defects up to
+    # 5.3e-13 (both measured over 3000 examples).
+    target = round(math.fsum(values))
+    _fit_to_sum(values, target)
+    assert math.fsum([-target, *values]) == 0.0
+    assert_block_closes(values, ROW_NORM_TOL, ROW_NORM_TOL)
 
 
 def test_sparse_row_serialization():
@@ -508,8 +619,6 @@ def assert_matches_reference(make_source, rows):
     assert stream.pi == ref.pi and stream._labels == ref._labels
     assert [v.hex() for v in stream._perm_vals] == [v.hex() for v in ref._perm_vals]
 
-
-ORACLE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 @ORACLE

@@ -1,8 +1,8 @@
 """The benchmark's tracer must find every function it is told to time, finite
-builds must go through the function it times and make no dense rotation on
-the shortcut route, the command line builds its argument parser once per
-process, scipy is imported only for summable power tails, and the package
-reads no environment."""
+builds must go once through the functions it times and never through
+horn_build, the restore makes few rotations, the command line builds its
+argument parser once per process, scipy is imported only for summable power
+tails, and the package reads no environment."""
 
 import argparse
 import ast
@@ -18,8 +18,8 @@ import pytest
 import carpenter  # noqa: F401  (Tracer.install wraps the loaded modules)
 import carpenter.builder
 import carpenter.cli
-import carpenter.moves
-from carpenter import BuildOptions, build
+import carpenter.horn
+from carpenter import BuildOptions, ConstantTail, DiagonalSpec, PowerTail, build
 from test_builder import integer_sum_diagonal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,63 +50,75 @@ def test_tracer_targets_resolve():
         tracer.uninstall()
 
 
-@pytest.mark.parametrize(
-    "pipeline, d",
-    [
-        ("shortcut", [0.25, 0.5, 0.75, 0.9, 0.6, 0.3, 0.2, 0.5]),
-        ("full", [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]),
-    ],
-)
-def test_finite_builds_call_the_traced_horn_build(monkeypatch, pipeline, d):
-    # The tracer times finite builds by rebinding carpenter.builder.horn_build
+def approximate_spec():
+    a, b = carpenter.tail_sums(DiagonalSpec((), PowerTail(3.0, 2.0)))
+    return DiagonalSpec((1.0 - (a - b),), PowerTail(3.0, 2.0))
+
+
+FINITE_BUILDS = {
+    "finite": ([0.25, 0.5, 0.75, 0.9, 0.6, 0.3, 0.2, 0.5], BuildOptions()),
+    "finite-full": ([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full")),
+    "constant-0-tail": (DiagonalSpec((0.5, 0.5), ConstantTail(0.0)), BuildOptions(truncation_rows=3)),
+    "constant-1-tail": (DiagonalSpec((0.3, 0.7), ConstantTail(1.0)), BuildOptions(truncation_rows=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_BUILDS))
+def test_finite_builds_pass_once_through_build_case1(monkeypatch, name):
+    # The tracer times finite builds by rebinding carpenter.builder.build_case1
     # and carpenter.builder.check_projection; a build that reached the
-    # construction or the verifier some other way, or verified more than
-    # once, would drop out of the horn.horn_build span and its n_rank count
-    # or skew the verify.check_projection span.
-    options = BuildOptions(pipeline=pipeline)
-    plain = build(d, options)
-    original_build = carpenter.builder.horn_build
+    # construction or the verifier some other way, or more than once, would
+    # drop out of the builder.build_case1 span or skew the
+    # verify.check_projection span. Both pipelines take the one route.
+    spec, options = FINITE_BUILDS[name]
+    plain = build(spec, options)
+    original_case1 = carpenter.builder.build_case1
     original_check = carpenter.builder.check_projection
-    calls, checks = [], []
+    cases, checks = [], []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0].diag))
-        return original_build(*args, **kwargs)
+        cases.append(len(args[0]))
+        return original_case1(*args, **kwargs)
 
     def counted_check(*args, **kwargs):
         checks.append(len(args[0]))
         return original_check(*args, **kwargs)
 
-    monkeypatch.setattr(carpenter.builder, "horn_build", counted)
+    monkeypatch.setattr(carpenter.builder, "build_case1", counted)
     monkeypatch.setattr(carpenter.builder, "check_projection", counted_check)
-    traced = build(d, options)
-    assert plain.notices == traced.notices == []
-    assert calls and sum(calls) == len(d)
-    assert checks == [len(d)]
+    traced = build(spec, options)
+    n = len(plain.matrix)
+    assert cases == [n] and checks == [n]
     assert np.array_equal(traced.matrix, plain.matrix)
     assert traced.report == plain.report
 
 
-def test_shortcut_builds_make_no_dense_rotation(monkeypatch):
-    # rotate_pair_inplace is the plain two-pass update because only the full
-    # pipeline's ops_restore (about one rotation a build) and MovePlan.replay
-    # call it; horn_build repairs rotate rows of its factor. Shortcut builds,
-    # which carry the finite-build workload, must not reach it.
-    original = carpenter.moves.rotate_pair_inplace
-    calls = []
+def test_no_build_route_calls_horn_build(monkeypatch):
+    # horn_build stays exported for acceptance criterion 2; the builds do
+    # not reach it, nor its planner
+    def refuse(*args, **kwargs):
+        raise AssertionError("horn_build reached from a build route")
 
-    def counted(*args):
-        calls.append(args[1:3])
-        return original(*args)
+    for name in ("horn_build", "_start_factor", "_plan_peels", "_repair", "_gram"):
+        monkeypatch.setattr(carpenter.horn, name, refuse)
+    monkeypatch.setattr(carpenter, "horn_build", refuse)
+    for spec, options in FINITE_BUILDS.values():
+        assert build(spec, options).report.all_pass
+    assert build(integer_sum_diagonal(np.random.default_rng(300), 300)).report.all_pass
+    res = build(approximate_spec(), BuildOptions(mode="approximate", epsilon=1e-3))
+    assert res.report.all_pass
 
-    monkeypatch.setattr(carpenter.moves, "rotate_pair_inplace", counted)
-    build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
-    assert calls, "the counter must see the full pipeline's restore rotation"
-    calls.clear()
-    for n in (50, 300, 1000):
-        res = build(integer_sum_diagonal(np.random.default_rng(n), n))
-        assert res.report.all_pass
-    assert calls == []
+
+def test_restore_takes_few_rotations():
+    # The restore pairs the entries ops_shift moved, about |I0| + |I1| - 1
+    # rotations of O(n) each: a median of 4 and at most 12 over these 200
+    # builds, n from 3 to 299.
+    counts = []
+    for seed in range(200):
+        n = int(np.random.default_rng(seed).integers(3, 300))
+        _, plan = carpenter.build_case1(integer_sum_diagonal(np.random.default_rng(seed), n))
+        counts.append(len(plan))
+    assert np.median(counts) <= 4 and max(counts) <= 12
 
 
 def test_cli_builds_its_parser_at_most_once(monkeypatch, tmp_path, capsys):

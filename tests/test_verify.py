@@ -16,12 +16,12 @@ from carpenter import (
     TetrisStream,
     VerificationReport,
     build,
+    build_case1,
     check_projection,
     check_rows,
     necessity_oracle,
 )
 from carpenter import verify
-from carpenter.builder import _build_summable
 from test_builder import integer_sum_diagonal
 
 
@@ -37,7 +37,7 @@ def test_check_projection_exact_diagonal_matrix():
 
 def test_check_projection_on_built_matrix():
     d = [2 / 3, 2 / 3, 2 / 3]
-    rep = check_projection(_build_summable(d), d)
+    rep = check_projection(build_case1(d)[0], d)
     assert rep.idempotence_defect <= 1e-12
     assert rep.trace == pytest.approx(2.0, abs=1e-12)
     assert rep.estimated_rank == 2
@@ -304,16 +304,15 @@ def test_verifying_a_build_makes_no_dense_temporary():
 
 
 # Report fields of build(integer_sum_diagonal(default_rng(n), n)).report as
-# (symmetry, idempotence, diagonal error, trace, rank) from the dense product:
-# n = 5 recorded while every product was dense, 50 to 1000 re-recorded (by
-# forcing the dense product) when horn_build moved to the factor W.
+# (symmetry, idempotence, diagonal error, trace, rank) from the dense product,
+# re-recorded when finite builds moved from horn_build to build_case1.
 # The idempotence defect may move by the rounding of a different summation
 # order; nothing else may move.
 BUILD_REPORTS = {
-    5: (0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 3.0000000000000004, 3),
-    50: (0.0, 4.440892098500626e-16, 2.220446049250313e-16, 25.0, 25),
-    300: (0.0, 3.3306690738754696e-16, 3.3306690738754696e-16, 147.0, 147),
-    1000: (0.0, 1.1102230246251565e-15, 3.219646771412954e-15, 488.0, 488),
+    5: (0.0, 1.1102230246251565e-16, 4.440892098500626e-16, 3.0, 3),
+    50: (0.0, 2.3592239273284576e-16, 2.220446049250313e-16, 25.0, 25),
+    300: (0.0, 2.220446049250313e-16, 1.1102230246251565e-16, 147.0, 147),
+    1000: (0.0, 8.881784197001252e-16, 1.1102230246251565e-16, 488.0, 488),
 }
 
 
