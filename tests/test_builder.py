@@ -28,7 +28,10 @@ def idempotence_defect(P):
     return float(np.max(np.abs(P @ P - P)))
 
 
-def test_case1_two_thirds():
+# A finite diagonal is both summable and cosummable; these tests keep the
+# inputs the separate summable and cosummable builders were tested on, now
+# built by build_case1's one route.
+def test_build_summable_two_thirds():
     # J0 is empty and eta = 0: one tetris block on 1 - d, complemented
     d = [2 / 3, 2 / 3, 2 / 3]
     P, plan = build_case1(d)
@@ -39,17 +42,18 @@ def test_case1_two_thirds():
     assert np.diag(P) == pytest.approx(d, abs=1e-15)
 
 
-def test_case1_one_third():
-    # J1 is empty and eta = 0: one tetris block on d
-    d = [1 / 3, 1 / 3, 1 / 3]
-    P, plan = build_case1(d)
-    assert len(plan) == 0
-    assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
-    assert idempotence_defect(P) <= 1e-12
-    assert np.diag(P) == pytest.approx(d, abs=1e-15)
+def test_build_summable_strips_zeros_and_keeps_ones():
+    # nothing to shift, no block rows: the diagonal itself, bit for bit
+    for d in ([1.0, 0.0], [0.0, 1.0], []):
+        P, plan = build_case1(d)
+        assert np.array_equal(P, np.diag(d)) and len(plan) == 0
+    # and exact 0s and 1s stay decoupled from the rest
+    P, _ = build_case1([1.0, 0.4, 0.0, 0.6, 1.0])
+    for i in (0, 2, 4):
+        assert np.all(np.delete(P[i], i) == 0.0) and P[i, i] == [1.0, 0.0, 1.0][i // 2]
 
 
-def test_case1_rank_two():
+def test_build_summable_rank_two():
     # J0 = {2}, eta = 0.3: 0.3 moves onto 0.9 and 0.8, two rotations restore it
     d = [0.9, 0.8, 0.3]
     P, plan = build_case1(d)
@@ -60,31 +64,51 @@ def test_case1_rank_two():
     assert evals == pytest.approx([0.0, 1.0, 1.0], abs=1e-8)
 
 
-def test_case1_exact_zeros_and_ones():
-    # nothing to shift, no block rows: the diagonal itself, bit for bit
-    for d in ([1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0], []):
-        P, plan = build_case1(d)
-        assert np.array_equal(P, np.diag(d)) and len(plan) == 0
-    # and exact 0s and 1s stay decoupled from the rest
-    P, _ = build_case1([1.0, 0.4, 0.0, 0.6, 1.0])
-    for i in (0, 2, 4):
-        assert np.all(np.delete(P[i], i) == 0.0) and P[i, i] == [1.0, 0.0, 1.0][i // 2]
-
-
-def test_case1_rejects_bad_input():
+def test_build_summable_rejects_bad_input():
     with pytest.raises(ValueError, match="outside"):
         build_case1([0.5, 1.2])
     with pytest.raises(ValueError, match="not an integer"):
         build_case1([0.3, 0.3])
-    with pytest.raises(ValueError, match="not an integer"):
-        build_case1([0.4, 0.4])
 
 
-def test_case1_frozen_instance():
+def test_build_cosummable_one_third():
+    # J1 is empty and eta = 0: one tetris block on d
+    d = [1 / 3, 1 / 3, 1 / 3]
+    P, plan = build_case1(d)
+    assert len(plan) == 0
+    assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
+    assert idempotence_defect(P) <= 1e-12
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
+
+
+def test_build_cosummable_identity():
+    P, plan = build_case1([1.0, 1.0])
+    assert np.array_equal(P, np.eye(2)) and len(plan) == 0
+
+
+def test_complement_swaps_diagonal():
+    # I - Q is a projection with diagonal d when Q is one with diagonal 1 - d;
+    # on dyadic entries below 1/2 the route's J1 block is that complement, bit
+    # for bit
+    d = [0.25, 0.25, 0.25, 0.25]
+    P, _ = build_case1(d)
+    Q, _ = build_case1([1.0 - x for x in d])
+    assert np.array_equal(P, np.eye(4) - Q)
+    d = [1 / 3, 1 / 3, 1 / 3]
+    Q, _ = build_case1([1.0 - x for x in d])
+    C = np.eye(3) - Q
+    assert np.diag(C) == pytest.approx(d, abs=1e-15)
+    assert idempotence_defect(C) <= 1e-12
+    assert np.array_equal(build_case1([0.0, 0.0])[0], np.zeros((2, 2)))
+    assert np.array_equal(build_case1([0.0, 1.0])[0], np.diag([0.0, 1.0]))
+
+
+def test_case1_full_pipeline_frozen_instance():
     # J0 = {0, 1, 2, 3} sums to 1.5, so eta = 0.5: ops_shift takes 0.4 off
     # position 0 and 0.1 off position 1 and puts 0.4 on position 4 and 0.1
     # on position 5. The blocks realize (0, 0.3, 0.4, 0.3) and 1 - (1, 1), and
-    # two rotations, (0, 4) and (1, 5), restore the shifted entries.
+    # two rotations, (0, 4) and (1, 5), restore the shifted entries. Both
+    # pipeline values take this route.
     d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
     P, plan = build_case1(d)
     assert [(m.i, m.j) for m in plan.moves] == [(0, 4), (1, 5)]
@@ -99,14 +123,26 @@ def test_case1_frozen_instance():
     assert np.max(np.abs(plan.replay(P0) - P)) <= 1e-15
 
 
-def test_case1_ties_and_a_missing_half():
-    # tied upper entries and an empty lower half need no special route
-    for d in ([0.2, 0.2, 0.2, 0.7, 0.7], [0.6, 0.7, 0.7]):
-        P, _ = build_case1(d)
-        assert np.array_equal(P, P.T)
-        assert np.diag(P) == pytest.approx(d, abs=1e-15)
-        assert idempotence_defect(P) <= 1e-15
-        assert np.trace(P) == pytest.approx(round(math.fsum(d)), abs=1e-14)
+def case1_exactly(d):
+    P, _ = build_case1(d)
+    assert np.array_equal(P, P.T)
+    assert np.diag(P) == pytest.approx(d, abs=1e-15)
+    assert idempotence_defect(P) <= 1e-15
+    assert np.trace(P) == pytest.approx(round(math.fsum(d)), abs=1e-14)
+
+
+def test_case1_builds_tied_upper_entries():
+    # no upper entry strictly exceeds another; the route needs no special case
+    case1_exactly([0.2, 0.2, 0.2, 0.7, 0.7])
+
+
+def test_case1_builds_without_lower_half():
+    case1_exactly([0.6, 0.7, 0.7])
+
+
+def test_case1_rejects_non_integer_sum():
+    with pytest.raises(ValueError, match="not an integer"):
+        build_case1([0.4, 0.4])
 
 
 def test_build_rejects_infeasible_singleton():
@@ -372,7 +408,8 @@ def test_build_bit_identical(n):
 
 
 def test_full_pipeline_bit_identical():
-    # the instance of test_case1_frozen_instance; both pipelines take the one route
+    # the instance of test_case1_full_pipeline_frozen_instance; both pipelines
+    # take the one route
     res = build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
     assert hashlib.sha256(res.matrix.tobytes()).hexdigest() == FULL_PIPELINE_DIGEST
 
