@@ -60,13 +60,10 @@ class BuildOptions:
     mode: str = "exact"  # "exact" or "approximate"
     epsilon: float = 1e-6
     truncation_rows: int = 50
-    pipeline: str = "shortcut"  # "shortcut" or "full": both take build_case1
 
     def __post_init__(self):
         if self.mode not in ("exact", "approximate"):
             raise ValueError(f"mode must be 'exact' or 'approximate', got {self.mode!r}")
-        if self.pipeline not in ("shortcut", "full"):
-            raise ValueError(f"pipeline must be 'shortcut' or 'full', got {self.pipeline!r}")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
         if self.truncation_rows < 0:

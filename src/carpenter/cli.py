@@ -157,9 +157,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 def _cmd_build(ns: argparse.Namespace) -> int:
     spec = _load_spec(ns.input, ns.format)
-    options = BuildOptions(
-        mode=ns.mode, epsilon=ns.epsilon, truncation_rows=ns.rows, pipeline=ns.pipeline
-    )
+    options = BuildOptions(mode=ns.mode, epsilon=ns.epsilon, truncation_rows=ns.rows)
     try:
         result = build(spec, options)
     except InfeasibleDiagonalError as e:
@@ -293,7 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("exact", "approximate"), default="exact")
     sp.add_argument("--epsilon", type=float, default=1e-6, help="approximate-mode tolerance")
     sp.add_argument("--rows", type=int, default=50, help="rows/coordinates for infinite tails")
-    sp.add_argument("--pipeline", choices=("shortcut", "full"), default="shortcut")
+    sp.add_argument(
+        "--pipeline",
+        choices=("shortcut", "full"),
+        default="shortcut",
+        help="selects nothing: every finite build takes one route; kept for scripts that pass it",
+    )
 
     sp = sub.add_parser("stream", help="emit sparse rows for a divergent diagonal")
     add_io(sp)

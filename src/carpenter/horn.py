@@ -6,7 +6,11 @@ on a trailing segment of the (sorted) diagonal, compensates the head by
 bumping diagonal mass across the cut, recurses on the head, and finally
 repairs the bumped entries with spectrum-preserving two-coordinate rotations.
 Peeling is an explicit loop rather than call-stack recursion so large inputs
-do not hit the interpreter recursion limit.
+do not hit the interpreter recursion limit. No build route calls
+``horn_build``: finite projections come from ``builder.build_case1``, and
+this module serves the general spectrum-plus-diagonal problem. So the planner
+is the plain one, a few numpy passes over the whole head per peel, O(n * rank)
+in all.
 
 The build works on a factor W with S = W W^T, never on a dense start matrix.
 Column k of W is the square root of the k-th peeled block's values on the
@@ -29,8 +33,6 @@ rows of the start factor they give the final factor bit for bit.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -39,9 +41,6 @@ import numpy as np
 from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
 
 MAJORIZATION_TOL = 1e-10
-# the longest run of prefix sums checked with Python floats; longer runs
-# go to numpy
-_SCALAR_RUN = 24
 
 
 @dataclass(frozen=True)
@@ -87,76 +86,6 @@ class MajorizationInput:
         return None
 
 
-def _sums_within(vals, run, lo: int, h: int, lam_run, cap: float, tol: float) -> int | None:
-    """Write the running sums of ``vals[lo:h]`` into ``run[lo:h]``, going on
-    from ``run[lo - 1]`` (from nothing at lo = 0), and test each against
-    ``min(lam_run[i], cap) + tol``.
-
-    Returns None when a sum is above its bound, and leaves ``run[lo:h]``
-    undefined. Otherwise returns ``_first_above(run, lam_run, lo, h)``.
-
-    Each sum adds one entry to the one before, left to right, as ``cumsum``
-    does, so the sums have the bits of the ``cumsum`` of ``vals[:h]`` from
-    its first entry. A short run is summed with Python floats, a long one
-    with numpy.
-    """
-    if h - lo <= _SCALAR_RUN:
-        s = float(run[lo - 1]) if lo else -0.0  # -0.0 + x == x, bit for bit
-        sums = []
-        above = h
-        for i, (v, lam) in enumerate(zip(vals[lo:h].tolist(), lam_run[lo:h].tolist()), lo):
-            s += v
-            if s > (lam if lam < cap else cap) + tol:
-                return None
-            if s > lam + 1e-12 and above == h:
-                above = i
-            sums.append(s)
-        run[lo:h] = sums
-        return above
-    run[lo:h] = vals[lo:h]
-    part = run[lo - 1 : h] if lo else run[:h]
-    part.cumsum(out=part)
-    above = _first_above(run, lam_run, lo, h)
-    # below lam_run + 1e-12, a sum is below lam_run + tol (tol >= 1e-12),
-    # so only the cap is left to test, on the last sum: a nonnegative
-    # head's running sums never fall
-    if above == h and run[h - 1] <= cap + tol:
-        return h
-    if np.count_nonzero(run[lo:h] > np.minimum(lam_run[lo:h], cap) + tol):
-        return None
-    return above
-
-
-def _first_above(run, lam_run, lo: int, h: int) -> int:
-    """The first index i in [lo, h) with run[i] > lam_run[i] + 1e-12, or h."""
-    over = run[lo:h] > lam_run[lo:h] + 1e-12
-    k = int(over.argmax())
-    return lo + k if over[k] else h
-
-
-def _segment_start(vals, m: int, r: int, lam_r: float) -> int:
-    """The 1-based start of the shortest trailing segment of ``vals[:m]``
-    whose running sum from the end reaches ``lam_r``, raised to r when it
-    starts before r or there is none.
-
-    ``vals[:m]`` is nonnegative, so the sums from the end rise and this is
-    what ``searchsorted`` finds on their ``cumsum``; it is sorted but for
-    perhaps its last slot, which the segment always takes. The walk reads
-    trailing windows that double, so a segment costs about its length.
-    """
-    s = 0.0
-    hi, width = m, 8
-    while hi >= r:
-        lo = max(r - 1, hi - width)
-        window = vals[lo:hi].tolist()
-        for j in range(hi - lo - 1, -1, -1):
-            s += window[j]
-            if s >= lam_r:
-                return lo + j + 1
-        hi, width = lo, 2 * width
-    return r
-
-
 def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
     """Spread ``delta`` >= 0 of extra mass over ``head`` (sorted desc, >= 0).
 
@@ -189,15 +118,12 @@ def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
     slack = (lam_pad - run) - err.cumsum()
     slack = np.minimum.accumulate(slack[::-1])[::-1]
 
-    # An entry without room takes add = 0.0 and becomes dt + 0.0. The others
-    # are filled one at a time, front to back: each fill changes the room of
-    # the next entry and the running total absorbed.
     x = head + 0.0
     remaining = delta
     absorbed = 0.0
-    t = 0
-    while t < len(head) and remaining != 0.0:
-        dt = float(head[t])
+    for t, dt in enumerate(head.tolist()):
+        if remaining == 0.0:
+            break
         room = float(slack[t]) - absorbed
         if t > 0:
             room = min(room, float(x[t - 1]) - dt)
@@ -205,18 +131,22 @@ def _waterfall(head, lam_pad, delta: float) -> np.ndarray:
         x[t] = dt + add
         absorbed += add
         remaining -= add
-        t += 1
-        if add == 0.0 and remaining > 0.0 and t < len(head):
-            # entries without room come in long runs: find the next entry
-            # with room in one test (a NaN room counts as room)
-            takes = ~(np.minimum(slack[t:] - absorbed, x[t - 1 : -1] - head[t:]) <= 0.0)
-            t += int(takes.argmax()) if takes.any() else len(takes)
     if remaining > 1e-9 * max(1.0, delta):
         raise AssertionError(
             f"could not absorb bump of {delta} into head (left over: {remaining})"
         )
     x[-1] += remaining
     return x
+
+
+def _prefix_majorized(vals_desc, lam_pad, tol: float) -> bool:
+    """Partial-sum test of sorted values against ``lam_pad``, the running
+    sums of the zero-padded eigenvalue list, one per value.
+
+    ``cumsum`` adds left to right, so every partial sum has the bits of a
+    Python running sum.
+    """
+    return not np.count_nonzero(vals_desc.cumsum() > lam_pad + tol)
 
 
 def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
@@ -233,94 +163,66 @@ def _plan_peels(lam_desc: list[float], vals: list[float], idx: list[int]):
     with ``_waterfall`` and repaired by one targeted rotation per touched
     entry, planned as an (i, j, target) triple.
 
-    A single bump moves the last head entry to its slot ``pos`` and shifts
-    the entries after it right, so a peel costs its segment, one binary
-    search and the moved range ``[pos, h)``. The head's values and prefix
-    sums live in arrays with a live length, its indices in a list, all
-    edited in place, and the partial-sum test restarts from the stored sum
-    before ``pos``. Every sum is a left-to-right running sum, never numpy's
-    pairwise ``sum``, so each bit matches a whole-head ``cumsum`` and a
-    scalar loop. ``vals`` comes sorted descending and nonnegative (entries
-    in [-1e-12, 0) are read as 0.0), and every peel keeps it so but for
-    perhaps its last slot, which only a ``_waterfall`` leftover lifts and
-    the next segment always takes: the head left for the binary search is
-    sorted, and its prefix sums rise.
+    The values live in one array and each peel's scans are numpy calls over
+    the whole head, so a plan costs O(n * rank). ``vals`` comes sorted
+    descending and nonnegative (entries in [-1e-12, 0) are read as 0.0).
+    Every sum is a left-to-right running sum (``cumsum``), never numpy's
+    pairwise ``sum``, so each bit matches a scalar loop.
     """
-    blocks: list[tuple[list[float], list[int]]] = []
+    blocks: list[tuple[np.ndarray, list[int]]] = []
     peel_repairs: list[list[Move | tuple[int, int, float]]] = []
     # running sums of the eigenvalues zero-padded to one per value, taken
     # once; they never decrease (every eigenvalue is positive), so a peel
     # caps them at its head's last sum to pad the head's eigenvalue sums
     lam_run = np.cumsum(lam_desc + [0.0] * (len(vals) - len(lam_desc)))
-    vals = np.array(vals, dtype=float)  # the head is vals[:m]
-    run = vals.cumsum()  # and its prefix sums run[:m]
-    idx = list(idx)
-    m = len(vals)
-    # the first prefix sum above lam_run[i] + 1e-12; the ones before it pass
-    # each test whose cap is at least lam_run[i] (every tol is at least 1e-12)
-    above = _first_above(run, lam_run, 0, m)
+    vals = np.asarray(vals, dtype=float)
     r = len(lam_desc)
     while r >= 2:
         lam_r = lam_desc[r - 1]
-        m0 = _segment_start(vals, m, r, lam_r)
-        seg_vals = vals[m0 - 1 : m].tolist()
-        first = seg_vals[0]
-        delta = math.fsum(seg_vals) - lam_r
+        m = len(vals)
+        t = int(vals[::-1].cumsum().searchsorted(lam_r, side="left"))
+        m0 = max(r, m - t)  # 1-based index of the segment start
+        first = float(vals[m0 - 1])
+        delta = math.fsum(vals[m0 - 1 :].tolist()) - lam_r
         delta = min(max(delta, 0.0), first)
+
+        seg_vals = vals[m0 - 1 :].copy()
         seg_vals[0] = first - delta
         seg_idx = idx[m0 - 1 :]
         blocks.append((seg_vals, seg_idx))
 
-        h = m0 - 1
-        del idx[h:]
-        cap = float(lam_run[r - 2])
-        tol = 1e-12 * max(1.0, cap)
-        last = float(vals[h - 1])
+        head_vals = vals[: m0 - 1]
+        head_idx = idx[: m0 - 1]
+        lam_pad = np.minimum(lam_run[: m0 - 1], lam_run[r - 2])
+        tol = 1e-12 * max(1.0, lam_run[r - 2])
+        last = float(head_vals[-1])
         bump = last + delta
         # the bump goes before the first earlier entry below it; the last
         # slot, which the bump replaces, stands in when there is none
-        if h < 2 or vals[h - 2] >= bump:  # the common case
-            pos = h - 1
-        else:
-            pos = bisect_right(vals, -bump, 0, h - 2, key=operator.neg)
-        # the candidate head: the bump at pos, the entries after it shifted
-        # right. The sums before pos are the head's; they rise, so they pass
-        # if none is above lam_run + 1e-12 and the last is within the cap. A
-        # bump whose own sum is too big fails at once, before any shift.
-        before = float(run[pos - 1]) if pos else -0.0
-        lam_pos = float(lam_run[pos])
-        if before + bump > (lam_pos if lam_pos < cap else cap) + tol:
-            found = None
-        else:
-            vals[pos + 1 : h] = vals[pos : h - 1]
-            vals[pos] = bump
-            lo = pos if above >= pos and before <= cap + tol else 0
-            found = _sums_within(vals, run, lo, h, lam_run, cap, tol)
-            if found is None:
-                vals[pos : h - 1] = vals[pos + 1 : h]
-                vals[h - 1] = last
-        if found is not None:
+        fits = head_vals >= bump
+        fits[-1] = False
+        pos = int(fits.argmin())
+        candidate = head_vals.copy()
+        candidate[pos + 1 :] = head_vals[pos:-1]
+        candidate[pos] = bump
+        if _prefix_majorized(candidate, lam_pad, tol):
             if delta > 0.0:
                 den = last - first + 2.0 * delta
                 alpha = 1.0 if den <= 0.0 else min(1.0, max(0.0, (last - first + delta) / den))
-                mix = Move(idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
+                mix = Move(head_idx[-1], seg_idx[0], math.sqrt(alpha), -math.sqrt(1.0 - alpha))
                 peel_repairs.append([mix])
             else:
                 peel_repairs.append([])
-            idx.insert(pos, idx.pop())
-            if above >= lo:
-                above = found
+            cand_idx = head_idx[:-1]
+            cand_idx.insert(pos, head_idx[-1])
+            vals, idx = candidate, cand_idx
         else:
-            head = vals[:h]
-            x = _waterfall(head, np.minimum(lam_run[:h], cap), delta)
-            touched = (x - head > 1e-14).nonzero()[0].tolist()
-            peel_repairs.append([(idx[t_], seg_idx[0], float(head[t_])) for t_ in touched])
-            head[:] = x
-            x.cumsum(out=run[:h])
-            above = _first_above(run, lam_run, 0, h)
-        m = h
+            x = _waterfall(head_vals, lam_pad, delta)
+            touched = np.flatnonzero(x - head_vals > 1e-14).tolist()
+            peel_repairs.append([(head_idx[t_], seg_idx[0], float(head_vals[t_])) for t_ in touched])
+            vals, idx = x, head_idx
         r -= 1
-    blocks.append((vals[:m].tolist(), idx))
+    blocks.append((vals, idx))
     return blocks, peel_repairs
 
 

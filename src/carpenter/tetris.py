@@ -309,15 +309,19 @@ class TetrisStream:
 
     def permuted_labels(self, count: int) -> list[int]:
         """Source labels of the first ``count`` columns in working order."""
-        if count > len(self.pi):
-            raise ValueError(f"only {len(self.pi)} columns ordered so far, asked for {count}")
+        self._check_count(count)
         return [self._labels[p] for p in self.pi[:count]]
 
     def permuted_values(self, count: int) -> list[float]:
         """Diagonal values of the first ``count`` columns in working order."""
+        self._check_count(count)
+        return self._perm_vals[:count]
+
+    def _check_count(self, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
         if count > len(self.pi):
             raise ValueError(f"only {len(self.pi)} columns ordered so far, asked for {count}")
-        return self._perm_vals[:count]
 
     # -- row emission ------------------------------------------------------
 
@@ -413,6 +417,8 @@ def projection_prefix(stream: TetrisStream, rows: int) -> np.ndarray:
     """
     if stream.rows_emitted:
         raise ValueError(f"projection_prefix needs a fresh stream; {stream.rows_emitted} rows already emitted")
+    if rows < 0:
+        raise ValueError(f"rows must be nonnegative, got {rows}")
     if rows == 0:
         return np.zeros((0, 0))
     stream._ensure_rows(rows)

@@ -107,8 +107,7 @@ def test_case1_full_pipeline_frozen_instance():
     # J0 = {0, 1, 2, 3} sums to 1.5, so eta = 0.5: ops_shift takes 0.4 off
     # position 0 and 0.1 off position 1 and puts 0.4 on position 4 and 0.1
     # on position 5. The blocks realize (0, 0.3, 0.4, 0.3) and 1 - (1, 1), and
-    # two rotations, (0, 4) and (1, 5), restore the shifted entries. Both
-    # pipeline values take this route.
+    # two rotations, (0, 4) and (1, 5), restore the shifted entries.
     d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
     P, plan = build_case1(d)
     assert [(m.i, m.j) for m in plan.moves] == [(0, 4), (1, 5)]
@@ -163,14 +162,6 @@ def test_build_finite_shortcut():
     assert np.trace(res.matrix) == pytest.approx(2.0, abs=1e-8)
 
 
-def test_build_finite_full_pipeline_option():
-    d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
-    res = build(d, BuildOptions(pipeline="full"))
-    assert res.notices == []
-    assert res.report.all_pass
-    assert np.diag(res.matrix) == pytest.approx(d, abs=1e-9)
-
-
 def test_build_finite_reattaches_exact_ones_and_zeros():
     d = [1.0, 0.4, 0.6, 0.0, 1.0]
     res = build(d)
@@ -186,8 +177,6 @@ def test_build_finite_reattaches_exact_ones_and_zeros():
 def test_build_options_validation():
     with pytest.raises(ValueError):
         BuildOptions(mode="sideways")
-    with pytest.raises(ValueError):
-        BuildOptions(pipeline="none")
     with pytest.raises(ValueError):
         BuildOptions(epsilon=0.7)
     with pytest.raises(ValueError):
@@ -369,11 +358,10 @@ def near_integer_diagonal(rng):
     return d
 
 
-@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
-def test_near_integer_sums_spread_over_the_core(pipeline):
-    # The residual r goes evenly onto the m entries strictly between 0 and 1,
-    # on both pipelines; putting it on one entry moved that entry by |r|,
-    # and the full pipeline's restore step then rejected the part it built.
+def test_near_integer_sums_spread_over_the_core():
+    # The residual r goes evenly onto the m entries strictly between 0 and 1;
+    # putting it on one entry moved that entry by |r|, and the restore step
+    # then rejected the part it built.
     # On top of the spread comes the exact build's own rounding, which
     # reaches 1.0e-14 on these inputs (n < 200).
     for seed in range(20):
@@ -382,7 +370,7 @@ def test_near_integer_sums_spread_over_the_core(pipeline):
         r = round(total) - total
         assert 1e-12 < abs(r) <= INTEGRALITY_TOL
         m = sum(0.0 < x < 1.0 for x in d)
-        res = build(d, BuildOptions(pipeline=pipeline))
+        res = build(d)
         assert res.kadison.verdict is Verdict.CASE_I
         assert res.report.all_pass, seed
         assert res.report.diagonal_max_error <= abs(r) / m + 2e-14, seed
@@ -408,10 +396,14 @@ def test_build_bit_identical(n):
 
 
 def test_full_pipeline_bit_identical():
-    # the instance of test_case1_full_pipeline_frozen_instance; both pipelines
-    # take the one route
-    res = build([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full"))
+    # the instance of test_case1_full_pipeline_frozen_instance, which the
+    # CLI's cli-mix requests build with --pipeline full
+    d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
+    res = build(d)
     assert hashlib.sha256(res.matrix.tobytes()).hexdigest() == FULL_PIPELINE_DIGEST
+    assert res.notices == []
+    assert res.report.all_pass
+    assert np.diag(res.matrix) == pytest.approx(d, abs=1e-9)
 
 
 def test_build_1000_bit_identical():

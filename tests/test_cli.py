@@ -157,11 +157,10 @@ def assert_csv_round_trips(tmp_path, P):
     assert np.array_equal(back.view(np.uint64), P.view(np.uint64))  # -0.0 included
 
 
-@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
-def test_csv_of_builds_matches_reference(tmp_path, pipeline):
+def test_csv_of_builds_matches_reference(tmp_path):
     for n in [*range(1, 13), 17, 31, 64, 100, 150, 200, 256, 300]:
         d = integer_sum_diagonal(np.random.default_rng(n), n)
-        assert_csv_round_trips(tmp_path, build(d, BuildOptions(pipeline=pipeline)).matrix)
+        assert_csv_round_trips(tmp_path, build(d).matrix)
 
 
 @pytest.mark.parametrize("name", ["case2-multi-block", "case2-complemented"])

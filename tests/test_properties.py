@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carpenter.builder
-from carpenter import BuildOptions, MajorizationInput, build, check_projection, horn_build
+from carpenter import MajorizationInput, build, check_projection, horn_build
 from carpenter.diagonal import INTEGRALITY_TOL
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -85,14 +85,14 @@ def test_horn_build_on_tiny_negative_entries(d):
 
 
 @PROFILE
-@given(near_integer_diagonals(), st.sampled_from(["shortcut", "full"]))
-def test_build_on_hostile_diagonals(d, pipeline):
+@given(near_integer_diagonals())
+def test_build_on_hostile_diagonals(d):
     # The residual r is spread over the entries strictly inside (0, 1), |r|/m
     # each while none of the m clips at 0 or 1, more on the others when one
     # does; all move the same way, so none moves by more than |r|.
     r = abs(round(math.fsum(d)) - math.fsum(d))
     assert r <= INTEGRALITY_TOL
-    res = build(d, BuildOptions(pipeline=pipeline))
+    res = build(d)
     assert_exact_projection(res.matrix, d, res.report, r)
 
 

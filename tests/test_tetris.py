@@ -147,6 +147,12 @@ def test_projection_prefix_needs_a_fresh_stream():
         projection_prefix(s, 0)
 
 
+def test_projection_prefix_rejects_negative_rows():
+    # -1 used to reach stream.k[-2] and raise IndexError
+    with pytest.raises(ValueError, match="nonnegative"):
+        projection_prefix(const_stream(0.4), -1)
+
+
 def test_build_leaves_each_block_stream_at_the_next_row():
     spec = DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4))
     R = 12
@@ -480,6 +486,19 @@ def test_permuted_values_follow_permuted_labels():
     assert s.permuted_values(3) == [0.5, 0.4, 0.2]
     with pytest.raises(ValueError):
         s.permuted_values(len(s.pi) + 1)
+
+
+@pytest.mark.parametrize("method", ["permuted_labels", "permuted_values"])
+def test_permuted_columns_reject_negative_counts(method):
+    # a negative slice bound used to drop columns off the end: after 3 rows
+    # of c = 0.4, permuted_labels(-1) gave 7 of the 8 ordered labels
+    s = const_stream(0.4)
+    for _ in range(3):
+        s.next_row()
+    assert len(s.pi) == 8
+    for count in (-1, -2, -8):
+        with pytest.raises(ValueError, match="nonnegative"):
+            getattr(s, method)(count)
 
 
 def test_long_stream_constant_01():

@@ -2,12 +2,14 @@
 builds must go once through the functions it times and never through
 horn_build, the restore makes few rotations, the command line builds its
 argument parser once per process, scipy is imported only for summable power
-tails, and the package reads no environment."""
+tails, the package reads no environment, and every package the tests import
+is declared."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,7 +59,7 @@ def approximate_spec():
 
 FINITE_BUILDS = {
     "finite": ([0.25, 0.5, 0.75, 0.9, 0.6, 0.3, 0.2, 0.5], BuildOptions()),
-    "finite-full": ([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions(pipeline="full")),
+    "finite-full": ([0.4, 0.4, 0.4, 0.3, 0.6, 0.9], BuildOptions()),
     "constant-0-tail": (DiagonalSpec((0.5, 0.5), ConstantTail(0.0)), BuildOptions(truncation_rows=3)),
     "constant-1-tail": (DiagonalSpec((0.3, 0.7), ConstantTail(1.0)), BuildOptions(truncation_rows=4)),
 }
@@ -69,7 +71,7 @@ def test_finite_builds_pass_once_through_build_case1(monkeypatch, name):
     # and carpenter.builder.check_projection; a build that reached the
     # construction or the verifier some other way, or more than once, would
     # drop out of the builder.build_case1 span or skew the
-    # verify.check_projection span. Both pipelines take the one route.
+    # verify.check_projection span.
     spec, options = FINITE_BUILDS[name]
     plain = build(spec, options)
     original_case1 = carpenter.builder.build_case1
@@ -99,7 +101,7 @@ def test_no_build_route_calls_horn_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("horn_build reached from a build route")
 
-    for name in ("horn_build", "_start_factor", "_plan_peels", "_repair", "_gram"):
+    for name in ("horn_build", "_start_factor", "_plan_peels", "_waterfall", "_repair", "_gram"):
         monkeypatch.setattr(carpenter.horn, name, refuse)
     monkeypatch.setattr(carpenter, "horn_build", refuse)
     for spec, options in FINITE_BUILDS.values():
@@ -196,3 +198,42 @@ def test_package_reads_no_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in names]
     assert found == []
+
+
+def test_test_imports_are_declared():
+    # The tests' third-party imports, at module level or through
+    # pytest.importorskip, must be named in pyproject.toml's dependencies or
+    # its "test" extra, so that `pip install -e .[test]` can run the suite.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.split(r"[^A-Za-z0-9_.-]", req, maxsplit=1)[0].lower()
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    local = {"carpenter"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    imported = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                imported.setdefault(node.args[0].value.split(".")[0], path.name)
+    third_party = {
+        name: where
+        for name, where in imported.items()
+        if name not in sys.stdlib_module_names and name not in local
+    }
+    assert {"numpy", "pytest", "hypothesis", "mpmath"} <= third_party.keys()
+    assert {name: where for name, where in third_party.items() if name not in declared} == {}

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from carpenter import (
-    BuildOptions,
     ConstantTail,
     DiagonalSpec,
     SparseRow,
     TetrisStream,
-    VerificationReport,
     build,
     build_case1,
     check_projection,
@@ -238,9 +236,9 @@ def test_dense_matrix_falls_back_before_indexing():
 
 
 @functools.lru_cache(maxsize=None)
-def pinned_build(n, pipeline="shortcut"):
+def pinned_build(n):
     d = integer_sum_diagonal(np.random.default_rng(n), n)
-    P = build(d, BuildOptions(pipeline=pipeline)).matrix
+    P = build(d).matrix
     P.setflags(write=False)
     return d, P
 
@@ -256,10 +254,9 @@ def assert_report_matches_dense(Q, d):
     assert rep.estimated_rank == count_above_half(Q)
 
 
-@pytest.mark.parametrize("pipeline", ["shortcut", "full"])
 @pytest.mark.parametrize("n", [5, 50, 300, 1000])
-def test_report_matches_dense_formulas_on_builds(n, pipeline):
-    d, P = pinned_build(n, pipeline)
+def test_report_matches_dense_formulas_on_builds(n):
+    d, P = pinned_build(n)
     assert_report_matches_dense(P, d)
 
 
