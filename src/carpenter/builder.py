@@ -15,14 +15,17 @@ Matrices returned here are finite corners of the (possibly infinite)
 projection, in original input coordinates: for exact infinite builds the
 entries outside the corner are exactly 0, or exactly 1 on the diagonal under
 a constant-1 tail; for truncated streaming builds the corner is a partial sum
-of rank-one terms whose completed columns are already final.
+of rank-one terms whose completed columns are already final. Both cases
+assemble their blocks' rows by one ``_assemble``: a Case-I block on J1 and
+a complemented case-II plan subtract their products and add 1.0 on the
+diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -37,8 +40,8 @@ from .diagonal import (
     complement_spec,
     power_boundary,
 )
-from .moves import MovePlan, OpsRequest, _restore_inplace, ops_shift
-from .tetris import TetrisStream, projection_prefix
+from .moves import MovePlan, OpsRequest, _restore_inplace, ops_shift, pair_sum
+from .tetris import TetrisStream, row_products
 from .verify import PROJECTION_TOL, VerificationReport, check_projection
 
 _APPROX_CORE_CAP = 10_000
@@ -132,54 +135,16 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
     return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
 
 
-def _complement_inplace(Q: np.ndarray) -> np.ndarray:
-    """I - Q, formed in Q's own array: 0 - q is exact and then adding 1
-    rounds as 1 - q does, with no -0.0 (which ``np.negative`` would give)."""
-    np.subtract(0.0, Q, out=Q)
-    Q.flat[:: len(Q) + 1] += 1.0
-    return Q
-
-
-def _corner(dim: int, blocks, ones=()) -> np.ndarray:
-    """The dim x dim corner holding each ``(idx, M)`` of ``blocks`` on rows
-    and columns ``idx`` (ascending), 1.0 at (i, i) for i in ``ones``, zeros
-    elsewhere. Blocks and ``ones`` are disjoint, so one block on all ``dim``
-    indices is the whole corner and comes back as is, not copied."""
-    if len(blocks) == 1 and len(blocks[0][0]) == dim:
-        return blocks[0][1]
-    out = np.zeros((dim, dim))
-    for idx, M in blocks:
-        out[np.ix_(idx, idx)] = M
-    out[ones, ones] = 1.0
-    return out
-
-
-def _block_products(n: int, idx: list[int], vals: list[float], rows: int):
-    """Keys i * n + j and products v_i * v_j of the first ``rows`` rows of a
-    tetris stream on the nonzero ``vals``, labelled by ``idx``.
-
-    Each entry of a row pairs with every entry of the same row, in order,
-    and the rows go in order, so a slot's products, added one after another,
-    come in the same order for (i, j) and (j, i).
-    """
-    if rows == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    stream = TetrisStream((i, v) for i, v in zip(idx, vals) if v)
-    emitted = [stream.next_row() for _ in range(rows)]
-    labels = np.asarray(stream.permuted_labels(stream.k[rows - 1]))
-    lens = np.fromiter((len(row.values) for row in emitted), dtype=np.intp, count=rows)
-    starts = np.fromiter((row.start for row in emitted), dtype=np.intp, count=rows)
-    v = np.fromiter(chain.from_iterable(row.values for row in emitted), dtype=float, count=int(lens.sum()))
-    first = np.cumsum(lens) - lens  # each row's first entry in v
-    col = labels[np.repeat(starts - first, lens) + np.arange(v.size)]
-    partners = np.repeat(lens, lens)
-    right = np.repeat(np.repeat(first, lens) - (np.cumsum(partners) - partners), partners)
-    right += np.arange(right.size)
-    key = np.repeat(col * n, partners)
-    key += col[right]
-    w = np.repeat(v, partners)
-    w *= v[right]
-    return key, w
+def _assemble(n: int, plus, minus, ones) -> np.ndarray:
+    """One ``pair_sum`` of the ``row_products`` triples in ``plus`` and,
+    negated, in ``minus``, plus 1.0 at (i, i) for each i in ``ones``; so
+    P == P^T bit for bit. Rounding is symmetric, so the negated products sum
+    to exactly minus their sum, and I - Q comes out as 0 - q + 1 did."""
+    for _, _, w in minus:
+        np.negative(w, out=w)
+    P = pair_sum(n, *map(np.concatenate, zip(*plus, *minus)))
+    P.flat[np.asarray(ones, dtype=np.intp) * (n + 1)] += 1.0
+    return P
 
 
 def build_case1(d) -> tuple[np.ndarray, MovePlan]:
@@ -221,13 +186,9 @@ def build_case1(d) -> tuple[np.ndarray, MovePlan]:
     high = [1.0 - shifted[j] for j in j1]
     _fit_to_sum(low, rows_a)
     _fit_to_sum(high, rows_b)
-    n = len(vals)
-    key_a, w_a = _block_products(n, j0, low, rows_a)
-    key_b, w_b = _block_products(n, j1, high, rows_b)
-    np.negative(w_b, out=w_b)
-    P = np.bincount(np.concatenate((key_a, key_b)), np.concatenate((w_a, w_b)), minlength=n * n)
-    P = P.astype(float, copy=False).reshape(n, n)  # with no pair at all, bincount gives int64 zeros
-    P.flat[np.asarray(j1, dtype=np.intp) * (n + 1)] += 1.0
+    block_a = row_products(TetrisStream((i, v) for i, v in zip(j0, low) if v), rows_a)
+    block_b = row_products(TetrisStream((j, v) for j, v in zip(j1, high) if v), rows_b)
+    P = _assemble(len(vals), [block_a], [block_b], j1)
     for i, x in zip(j0, low):
         shifted[i] = x
     for j, x in zip(j1, high):
@@ -374,21 +335,19 @@ def _build_case2_result(
     if R == 0:
         return result
 
-    pieces = []
+    blocks = []
     completed: set[int] = set()
     top = max(plan.trivial_ones + plan.trivial_zeros, default=-1)
     for stream in plan.streams:
-        M = projection_prefix(stream, R)
-        touched = stream.permuted_labels(stream.k[R - 1])
+        blocks.append(row_products(stream, R))
         completed.update(stream.permuted_labels(max(stream.k[R - 1] - 2, 0)))
-        order = sorted(touched)
-        pieces.append((order, M))
-        top = max(top, order[-1])
+        top = max(top, int(blocks[-1][0].max()))
 
     dim = top + 1
-    attach_ones = plan.trivial_zeros if plan.complemented else plan.trivial_ones
-    out = _corner(dim, pieces, attach_ones)
-    result.matrix = _complement_inplace(out) if plan.complemented else out
+    if plan.complemented:
+        result.matrix = _assemble(dim, [], blocks, sorted(set(range(dim)).difference(plan.trivial_zeros)))
+    else:
+        result.matrix = _assemble(dim, blocks, [], plan.trivial_ones)
     result.completed_indices = sorted(completed)
     return result
 

@@ -16,8 +16,8 @@ The build works on a factor W with S = W W^T, never on a dense start matrix.
 Column k of W is the square root of the k-th peeled block's values on the
 block's rows; a row of W has about four nonzeros, stored as a
 ``{column: value}`` map. A repair rotates two rows of W, at the cost of
-their supports, and the dense S is formed once from W's nonzero pairs
-(``_gram``), exactly symmetric.
+their supports, and the dense S is formed once from W's column pair products
+by the package's one pair kernel (``_gram``), exactly symmetric.
 
 The single-entry bump (all compensation placed on the last head entry) can
 overshoot the head's majorization budget; see the note inside
@@ -38,7 +38,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .moves import Move, MovePlan, _solve_rotation_angle, rotate_rows_inplace
+from .moves import Move, MovePlan, _solve_rotation_angle, pair_products, pair_sum, rotate_rows_inplace
 
 MAJORIZATION_TOL = 1e-10
 
@@ -304,31 +304,11 @@ def _dot(a: dict[int, float], b: dict[int, float]) -> float:
 
 
 def _gram(W: list[dict[int, float]], n: int) -> np.ndarray:
-    """The dense n x n matrix W W^T from the rows of W.
-
-    Every pair of nonzeros in a column k gives the product W[i, k] * W[j, k]
-    for entry (i, j). The pairs go column by column, k ascending, and
-    ``np.add.at`` adds each product into its slot one after another, so
-    every entry is a sequential sum over its shared columns in ascending
-    order. (i, j) and (j, i) add the same products in the same order, and
-    the result is exactly symmetric. The matrix is allocated before the pair
-    arrays, so that freeing them leaves no gap below it in the heap.
-    """
-    S = np.zeros((n, n))
+    """The dense n x n matrix W W^T: the ``pair_sum`` of the ``pair_products``
+    of W's columns, k ascending, so every entry is a sequential sum over its
+    shared columns in ascending order, and exactly symmetric."""
     rows = np.repeat(np.arange(n), np.fromiter(map(len, W), dtype=np.intp, count=n))
     cols = np.fromiter(chain.from_iterable(W), dtype=np.intp, count=rows.size)
     vals = np.fromiter(chain.from_iterable(map(dict.values, W)), dtype=float, count=rows.size)
-    by_col = cols.argsort(kind="stable")  # rows stay ascending in a column
-    rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
-    col_nnz = np.bincount(cols)
-    partners = col_nnz[cols]  # the pairs each nonzero heads
-    starts = (np.cumsum(col_nnz) - col_nnz)[cols]  # its column's first nonzero
-    # each pair's right factor: the nonzeros of its column, in order
-    right = np.repeat(starts - (np.cumsum(partners) - partners), partners)
-    right += np.arange(right.size)
-    key = np.repeat(rows * n, partners)
-    key += rows[right]
-    w = np.repeat(vals, partners)
-    w *= vals[right]
-    np.add.at(S.reshape(-1), key, w)
-    return S
+    by_col = cols.argsort(kind="stable")
+    return pair_sum(n, *pair_products(np.bincount(cols), rows[by_col], vals[by_col]))

@@ -19,6 +19,11 @@ of mass off a low block (toward 0) and onto a high block (toward 1).
 matrix whose diagonal is the shifted sequence, it applies targeted rotations
 until the original diagonal reappears, and returns them as a MovePlan; its
 pairing loop, ``_restore_inplace``, also serves ``build_case1``.
+
+Every sum of v v^T is formed by one kernel: ``pair_products`` lists the
+ordered pairs within each run of labelled values (a tetris row, a column of
+``horn_build``'s factor) and ``pair_sum`` adds them with one ``np.bincount``,
+each entry a sequential sum from +0.0 in run order, exactly symmetric.
 """
 
 from __future__ import annotations
@@ -78,6 +83,31 @@ def rotate_rows_inplace(W: list[dict[int, float]], i: int, j: int, c: float, s: 
         if y:
             rj[k] = y
     W[i], W[j] = ri, rj
+
+
+def pair_products(lens, labels, values):
+    """Every ordered pair within each run, run by run and in order, as the
+    arrays (rows, cols, w) of its labels and product; run r is the next
+    ``lens[r]`` entries of ``labels`` and ``values``."""
+    lens = np.asarray(lens, dtype=np.intp)
+    labels = np.asarray(labels, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    first = np.cumsum(lens) - lens  # each run's first entry
+    partners = np.repeat(lens, lens)  # the pairs each entry heads
+    # each pair's right factor: the entries of its run, in order
+    right = np.repeat(np.repeat(first, lens) - (np.cumsum(partners) - partners), partners)
+    right += np.arange(right.size)
+    w = np.repeat(values, partners)
+    w *= values[right]
+    return np.repeat(labels, partners), labels[right], w
+
+
+def pair_sum(n: int, rows, cols, w) -> np.ndarray:
+    """The n x n matrix with each w[p], in order, added at (rows[p], cols[p])
+    to +0.0: float zeros when there is no pair."""
+    keys = np.asarray(rows, dtype=np.intp) * n
+    keys += cols
+    return np.bincount(keys, w, minlength=n * n).astype(float, copy=False).reshape(n, n)
 
 
 def _require_symmetric(E: np.ndarray) -> None:

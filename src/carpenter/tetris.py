@@ -29,9 +29,9 @@ twice the terms it uses, and a long one pulls ``_CHUNK`` at a time.
 
 A stream keeps no row it has emitted. Per row it keeps m_n, k_n, sigma_n,
 a_n and, per term, its label, its value in both orders, its permuted
-position and its column mass. ``projection_prefix`` therefore drives a fresh
-stream itself and sums its rows as they come; the stream is left at the next
-row.
+position and its column mass. ``row_products`` therefore drives a fresh
+stream itself and returns its rows' pair products in source labels, leaving
+the stream at the next row; ``projection_prefix`` sums them on label ranks.
 """
 
 from __future__ import annotations
@@ -42,12 +42,13 @@ import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .diagonal import DiagonalSpec
+from .moves import pair_products, pair_sum
 
 ROW_NORM_TOL = 1e-12
 SOLVE_A_TOL = 1e-12
@@ -406,29 +407,28 @@ def completed_columns(stream: TetrisStream):
     return count, np.array(stream._col_mass[:count])
 
 
-def projection_prefix(stream: TetrisStream, rows: int) -> np.ndarray:
-    """Sum of v v^T over the first ``rows`` rows, as a dense k_R x k_R block.
-
-    ``stream`` must be fresh: its rows 1 .. ``rows`` are emitted here and
-    summed as they come, since a stream keeps no row it has emitted. The
-    next ``next_row`` then gives row ``rows + 1``. Axes are reordered by
-    ascending original label so the diagonal aligns with the input order
-    restricted to the touched positions.
-    """
+def row_products(stream: TetrisStream, rows: int):
+    """``moves.pair_products`` of the first ``rows`` rows, in order, in
+    source labels. ``stream`` must be fresh: its rows 1 .. ``rows`` are
+    emitted here, and the next ``next_row`` gives row ``rows + 1``."""
     if stream.rows_emitted:
         raise ValueError(f"projection_prefix needs a fresh stream; {stream.rows_emitted} rows already emitted")
     if rows < 0:
         raise ValueError(f"rows must be nonnegative, got {rows}")
-    if rows == 0:
-        return np.zeros((0, 0))
-    stream._ensure_rows(rows)
-    dim = stream.k[rows - 1]
-    P = np.zeros((dim, dim))
-    for _ in range(rows):
-        row = stream.next_row()
-        v = np.asarray(row.values)
-        sl = slice(row.start, row.start + v.size)
-        P[sl, sl] += np.outer(v, v)
-    labels = np.asarray(stream.permuted_labels(dim))
-    order = np.argsort(labels, kind="stable")
-    return P[np.ix_(order, order)]
+    emitted = [stream.next_row() for _ in range(rows)]
+    labels = stream.permuted_labels(len(stream.pi))
+    cols = chain.from_iterable(labels[row.start : row.start + len(row.values)] for row in emitted)
+    vals = chain.from_iterable(row.values for row in emitted)
+    return pair_products([len(row.values) for row in emitted], list(cols), list(vals))
+
+
+def projection_prefix(stream: TetrisStream, rows: int) -> np.ndarray:
+    """Sum of v v^T over the first ``rows`` rows, as a dense k_R x k_R block.
+
+    ``stream`` must be fresh, as for ``row_products``, whose pair products
+    are summed on the ranks of their labels: the axes go in ascending label,
+    so the diagonal follows the input order on the touched positions.
+    """
+    i, j, w = row_products(stream, rows)
+    labels = np.unique(i)
+    return pair_sum(labels.size, labels.searchsorted(i), labels.searchsorted(j), w)

@@ -433,7 +433,9 @@ def result_digests(res):
 # was shared by every route; the two constant-tail corners were re-recorded
 # when finite builds moved from horn_build to build_case1. Both case-II
 # specs carry exact 0s and 1s; the second has c > 1/2, so its two blocks
-# stream 1 - d.
+# stream 1 - d. The case-II corners held bit for bit when their dense
+# np.outer blocks, placed and flipped, gave way to the one pair-product sum
+# that Case I uses (builder._assemble).
 CORNER_SPECS = {
     "case2-multi-block": DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4)),
     "case2-complemented": DiagonalSpec((0.2, 0.1, 0.0, 0.6, 1.0), ConstantTail(0.9)),

@@ -312,6 +312,26 @@ def run_declared_script(*args):
     )
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m carpenter.cli` runs the command, as the console script does,
+    # rather than only importing the module and exiting 0
+    f = write(tmp_path, "d.json", "[0.5, 0.5]")
+    out = tmp_path / "P.csv"
+    env = dict(os.environ)
+    src = str(Path(carpenter.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "carpenter.cli", *args], capture_output=True, text=True, env=env)
+
+    proc = run("build", "--input", f, "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == carpenter.cli._matrix_to_csv(build([0.5, 0.5]).matrix)
+    proc = run("build", "--input", str(tmp_path / "missing.json"))
+    assert proc.returncode == 1
+    assert "input file not found" in proc.stderr
+
+
 def test_console_script_entry_point(tmp_path):
     f = write(tmp_path, "d.json", "[0.5, 0.5]")
     proc = run_declared_script("classify", "--input", f)

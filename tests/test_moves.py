@@ -15,7 +15,7 @@ from carpenter import (
     ops_restore,
     ops_shift,
 )
-from carpenter.moves import TARGET_TOL, _solve_rotation_angle, rotate_to
+from carpenter.moves import TARGET_TOL, _solve_rotation_angle, pair_products, pair_sum, rotate_to
 
 
 def test_ops_request_validation():
@@ -275,3 +275,61 @@ def test_rotation_angle_matches_reference():
         if amp and w == 0.0 and abs(s) < 1.0:
             ties += 1
     assert ties > 1000
+
+
+def dense_pair_sum(n, runs):
+    """The n x n sum of np.outer(v, v) over the ``(labels, v)`` runs, added
+    in run order onto float zeros: the reference for the pair kernel. The
+    labels of one run must be distinct."""
+    P = np.zeros((n, n))
+    for labels, v in runs:
+        P[np.ix_(labels, labels)] += np.outer(v, v)
+    return P
+
+
+def kernel_pair_sum(n, runs):
+    lens = [len(labels) for labels, _ in runs]
+    labels = [lab for run, _ in runs for lab in run]
+    values = [x for _, v in runs for x in v]
+    return pair_sum(n, *pair_products(lens, labels, values))
+
+
+def test_pair_kernel_matches_dense_outer_sums_bit_for_bit():
+    tiny = 5e-324
+    runs = [
+        ([], []),
+        ([3], [0.7]),
+        ([0, 2, 5], [0.1, -0.0, 0.3]),
+        ([], []),
+        ([2, 0, 4, 1], [2.0**-1022, 0.6, -0.25, tiny]),
+        ([5, 3], [-0.0, 1.0 / 3.0]),
+        ([2], [tiny]),
+    ]
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        k = int(rng.integers(0, 6))
+        labels = rng.permutation(6)[:k].tolist()
+        pick = rng.integers(0, 4, size=k)
+        v = np.where(pick == 0, rng.choice([0.0, -0.0, tiny, -tiny, 2.0**-1030]), rng.standard_normal(k))
+        runs.append((labels, v.tolist()))
+    for cut in (0, 1, 2, 5, 7, len(runs)):
+        P = kernel_pair_sum(6, runs[:cut])
+        assert P.dtype == float and P.shape == (6, 6)
+        assert P.tobytes() == dense_pair_sum(6, runs[:cut]).tobytes()
+        assert np.array_equal(P, P.T)
+
+
+def test_pair_kernel_with_no_entries_gives_float_zeros():
+    for lens in ([], [0, 0, 0]):
+        rows, cols, w = pair_products(lens, [], [])
+        assert rows.size == cols.size == w.size == 0
+        P = pair_sum(4, rows, cols, w)
+        assert P.dtype == float and P.tobytes() == np.zeros((4, 4)).tobytes()
+    assert pair_sum(0, rows, cols, w).shape == (0, 0)
+
+
+def test_pair_products_go_run_by_run_in_order():
+    rows, cols, w = pair_products([2, 0, 1], [4, 1, 7], [0.5, 2.0, 3.0])
+    assert rows.tolist() == [4, 4, 1, 1, 7]
+    assert cols.tolist() == [4, 1, 4, 1, 7]
+    assert w.tolist() == [0.25, 1.0, 1.0, 4.0, 9.0]

@@ -1,5 +1,6 @@
 """Property-based finite builds on hostile diagonals: ties, exact 1/2,
-subnormals, 1 - 2^-53 and sums within 1e-9 of an integer.
+subnormals, 1 - 2^-53 and sums within 1e-9 of an integer; and case-II
+corners against the assembly they replaced.
 
 Examples are derandomized (the same on every run) and capped, and nothing is
 stored between runs.
@@ -13,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carpenter.builder
-from carpenter import MajorizationInput, build, check_projection, horn_build
+from carpenter import (
+    BuildOptions,
+    ConstantTail,
+    DiagonalSpec,
+    MajorizationInput,
+    build,
+    build_case2,
+    check_projection,
+    horn_build,
+)
 from carpenter.diagonal import INTEGRALITY_TOL
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -169,3 +179,59 @@ def test_route_on_hostile_diagonals(d):
     assert len(starts) == 1 and np.array_equal(starts[0], starts[0].T)
     assert res.report.all_pass, res.report
     dense_check(res.matrix, d)
+
+
+@st.composite
+def case2_specs(draw):
+    """A constant tail c on either side of 1/2 and a prefix of 2 or 3 heads
+    above 1/2, fillers in [0, 1/2] and exact 0s and 1s, shuffled; for
+    c > 1/2 every prefix entry x becomes 1 - x, so the plan, dealt from
+    1 - d, sees the same kind of prefix."""
+    heads = draw(st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=3))
+    fill = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 0.5)), max_size=8))
+    prefix = draw(st.permutations(heads + fill))
+    c = draw(st.one_of(st.floats(0.1, 0.45), st.floats(0.55, 0.9)))
+    if c > 0.5:
+        prefix = [1.0 - x for x in prefix]
+    return DiagonalSpec(tuple(prefix), ConstantTail(c))
+
+
+def corner_by_outer_sums(spec, R):
+    """The case-II corner as it was assembled before the pair kernel: each
+    block's rows summed with np.outer, reordered by ascending label, placed
+    on its labels, 1.0 on the trivial ones, and for a complemented plan
+    0 - Q with 1.0 added on the diagonal."""
+    plan = build_case2(spec)
+    pieces = []
+    top = max(plan.trivial_ones + plan.trivial_zeros, default=-1)
+    for stream in plan.streams:
+        rows = [stream.next_row() for _ in range(R)]
+        k = stream.k[R - 1]
+        M = np.zeros((k, k))
+        for row in rows:
+            sl = slice(row.start, row.start + len(row.values))
+            M[sl, sl] += np.outer(row.values, row.values)
+        labels = stream.permuted_labels(k)
+        order = np.argsort(labels, kind="stable")
+        pieces.append((sorted(labels), M[np.ix_(order, order)]))
+        top = max(top, max(labels))
+    dim = top + 1
+    Q = np.zeros((dim, dim))
+    for idx, M in pieces:
+        Q[np.ix_(idx, idx)] = M
+    ones = plan.trivial_zeros if plan.complemented else plan.trivial_ones
+    Q[ones, ones] = 1.0
+    if plan.complemented:
+        Q = np.subtract(0.0, Q)
+        Q.flat[:: dim + 1] += 1.0
+    return Q
+
+
+@PROFILE
+@given(case2_specs(), st.integers(1, 40))
+@example(DiagonalSpec((0.7, 0.8, 1.0, 0.3, 0.0), ConstantTail(0.4)), 12)
+@example(DiagonalSpec((0.2, 0.1, 0.0, 0.6, 1.0), ConstantTail(0.9)), 12)
+def test_case2_corner_matches_outer_sum_assembly(spec, R):
+    P = build(spec, BuildOptions(truncation_rows=R)).matrix
+    assert P.tobytes() == corner_by_outer_sums(spec, R).tobytes()
+    assert np.array_equal(P, P.T)

@@ -27,6 +27,7 @@ from carpenter import (
 )
 from carpenter.builder import _fit_to_sum
 from carpenter.tetris import _CHUNK, _SCALE, ROW_NORM_TOL, SOLVE_A_TOL, _exact, _row_need, _solve_a
+from test_moves import dense_pair_sum
 
 
 ORACLE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -184,6 +185,13 @@ def test_stream_memory_per_row():
 def test_projection_prefix_small():
     P = projection_prefix(const_stream(0.4), 2)
     assert P.shape == (5, 5)
+    # bit for bit the sum of each row's np.outer, on ascending label ranks
+    s = const_stream(0.4)
+    rows = [s.next_row() for _ in range(2)]
+    labels = s.permuted_labels(s.k[1])
+    rank = {label: r for r, label in enumerate(sorted(labels))}
+    runs = [([rank[x] for x in labels[row.start : row.start + len(row.values)]], row.values) for row in rows]
+    assert P.tobytes() == dense_pair_sum(5, runs).tobytes()
     assert np.allclose(np.diag(P)[:3], 0.4, atol=1e-12)
     assert np.array_equal(P, P.T)
     assert projection_prefix(const_stream(0.4), 0).shape == (0, 0)

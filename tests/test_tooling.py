@@ -2,8 +2,8 @@
 builds must go once through the functions it times and never through
 horn_build, the restore makes few rotations, the command line builds its
 argument parser once per process, scipy is imported only for summable power
-tails, the package reads no environment, and every package the tests import
-is declared."""
+tails, the package reads no environment, every sum of v v^T goes through the
+one pair kernel, and every package the tests import is declared."""
 
 import argparse
 import ast
@@ -198,6 +198,41 @@ def test_package_reads_no_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in names]
     assert found == []
+
+
+def dotted(node):
+    """The dotted name of a Name or Attribute chain, such as np.add.at, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def test_every_sum_of_outer_products_goes_through_the_pair_kernel():
+    # Case I blocks, case-II corners and horn's W W^T are all pair_sum of
+    # pair_products: no np.outer, np.add.at or np.ix_ block placement, and a
+    # weighted np.bincount only there and in the verifier, which keeps its
+    # own pair expansion so that it stays independent of what it checks.
+    paths = sorted((ROOT / "src" / "carpenter").glob("*.py"))
+    assert len(paths) >= 8
+    banned, weighted = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> the outermost function holding it
+        for top in ast.walk(tree):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(top):
+                    owner.setdefault(id(node), top.name)
+        for node in ast.walk(tree):
+            if dotted(node) in ("np.outer", "np.add.at", "np.ix_"):
+                banned.append(f"{path.name}:{node.lineno}: {dotted(node)}")
+            if isinstance(node, ast.Call) and dotted(node.func) == "np.bincount":
+                if len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords):
+                    weighted.add(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert banned == []
+    assert weighted == {"moves.pair_sum", "verify._sparse_defects"}
 
 
 def test_test_imports_are_declared():
