@@ -43,6 +43,7 @@ from .tetris import (
     projection_prefix,
 )
 from .verify import (
+    SparseMatrix,
     VerificationReport,
     check_projection,
     check_rows,
@@ -64,6 +65,7 @@ __all__ = [
     "NeedsMoreTermsError",
     "OpsRequest",
     "PowerTail",
+    "SparseMatrix",
     "SparseRow",
     "TetrisStream",
     "VerificationReport",

@@ -18,13 +18,17 @@ a constant-1 tail; for truncated streaming builds the corner is a partial sum
 of rank-one terms whose completed columns are already final. Both cases
 assemble their blocks' rows by one ``_assemble``: a Case-I block on J1 and
 a complemented case-II plan subtract their products and add 1.0 on the
-diagonal.
+diagonal. A matrix is kept as its sorted nonzeros (``SparseMatrix``), about
+8 per row for a finite build; the dense array is formed only when
+``BuildResult.matrix`` is read.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -40,9 +44,9 @@ from .diagonal import (
     complement_spec,
     power_boundary,
 )
-from .moves import MovePlan, OpsRequest, _restore_inplace, ops_shift, pair_sum
+from .moves import CLOSED_TOL, Move, MovePlan, OpsRequest, _restore_inplace, ops_shift, pair_entries
 from .tetris import TetrisStream, row_products
-from .verify import PROJECTION_TOL, VerificationReport, check_projection
+from .verify import PROJECTION_TOL, SparseMatrix, VerificationReport, check_projection
 
 _APPROX_CORE_CAP = 10_000
 
@@ -77,16 +81,17 @@ class BuildOptions:
 class BuildResult:
     """Outcome of a build.
 
-    ``matrix`` is a finite corner in original input coordinates. For
-    streamed verdicts ``streams`` holds the live block streams,
-    ``completed_indices`` the input positions whose diagonal entries are
-    final, and ``complemented`` says the streams realize 1-d with the matrix
-    already flipped back. ``approximation_error`` bounds every diagonal
-    entry's distance from the input on the approximate route.
+    ``entries`` holds a finite corner in original input coordinates as its
+    sorted nonzeros; ``matrix`` is that corner as a dense array, formed on
+    first read and kept. For streamed verdicts ``streams`` holds the live
+    block streams, ``completed_indices`` the input positions whose diagonal
+    entries are final, and ``complemented`` says the streams realize 1-d
+    with the matrix already flipped back. ``approximation_error`` bounds
+    every diagonal entry's distance from the input on the approximate route.
     """
 
     kadison: KadisonReport
-    matrix: np.ndarray | None = None
+    entries: SparseMatrix | None = None
     report: VerificationReport | None = None
     approximation_error: float = 0.0
     streams: list[TetrisStream] | None = None
@@ -95,6 +100,10 @@ class BuildResult:
     complemented: bool = False
     completed_indices: list[int] | None = None
     notices: list[str] = field(default_factory=list)
+
+    @cached_property
+    def matrix(self) -> np.ndarray | None:
+        return None if self.entries is None else self.entries.toarray()
 
 
 def _fit_to_sum(vals: list[float], target: int) -> float:
@@ -109,6 +118,13 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
     rounding leaves goes on to the next, and the last steps land on the
     entries with the finest ulp. Exact 0s and 1s stay exact. A tetris block
     whose exact sum is its row count closes at its last term.
+
+    An entry v takes r / left only when that reaches half the gap to its
+    neighbour, at least a quarter of ulp(v); until one does, r and the
+    entries stay as they are. Along the walk |r / left| grows and ulp(v)
+    shrinks, so the walk starts at the first entry where |r / left| reaches
+    ulp(v) / 4, found by bisection: a residual of an ulp walks a few
+    entries, not all m.
     """
     before = list(vals)
     inner = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
@@ -118,8 +134,10 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
             raise ValueError(f"cannot fit the sum to {target}: {r} left over")
         start = r
         inner.sort(key=vals.__getitem__, reverse=True)
-        left = len(inner)
-        for i in inner:
+        m = len(inner)
+        first = bisect_left(range(m), True, key=lambda k: abs(r / (m - k)) >= math.ulp(vals[inner[k]]) / 4)
+        left = m - first
+        for i in inner[first:]:
             v = vals[i]
             w = v + r / left
             if not 0.0 <= w <= 1.0:
@@ -135,19 +153,71 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
     return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
 
 
-def _assemble(n: int, plus, minus, ones) -> np.ndarray:
-    """One ``pair_sum`` of the ``row_products`` triples in ``plus`` and,
-    negated, in ``minus``, plus 1.0 at (i, i) for each i in ``ones``; so
-    P == P^T bit for bit. Rounding is symmetric, so the negated products sum
-    to exactly minus their sum, and I - Q comes out as 0 - q + 1 did."""
+def _assemble(n: int, plus, minus, ones) -> SparseMatrix:
+    """One ``pair_entries`` of the ``row_products`` triples in ``plus`` and,
+    negated, in ``minus``, then 1.0 at (i, i) for each i in ``ones``, added
+    last; so P == P^T bit for bit. Rounding is symmetric, so the negated
+    products sum to exactly minus their sum, and I - Q comes out as
+    0 - q + 1 does."""
     for _, _, w in minus:
         np.negative(w, out=w)
-    P = pair_sum(n, *map(np.concatenate, zip(*plus, *minus)))
-    P.flat[np.asarray(ones, dtype=np.intp) * (n + 1)] += 1.0
-    return P
+    ones = np.asarray(ones, dtype=np.intp)
+    diagonal = (ones, ones, np.ones(ones.size))
+    return SparseMatrix(n, *pair_entries(n, *map(np.concatenate, zip(*plus, *minus, diagonal))))
 
 
-def build_case1(d) -> tuple[np.ndarray, MovePlan]:
+def _restore(P: SparseMatrix, shifted, vals, j0, j1) -> tuple[SparseMatrix, MovePlan]:
+    """``moves._restore_inplace`` on the rows and columns it rotates, which
+    the deficits and surpluses fix before any rotation runs: the entries
+    ``shifted`` moved off ``vals``. Its rotations mix those rows among
+    themselves, so the rows keep to the columns they start with; the dense
+    block on those indices and columns is gathered once, rotated, and put
+    back, and the Moves are returned in P's indices. Entries outside the
+    block are the zeros and the untouched entries they are on the dense P,
+    so the result is the dense restore's bit for bit. A P with more than
+    n^2 / 8 nonzeros (n below about 70) is restored dense, as the gather
+    would cost more than it saves."""
+    n = P.n
+    if 8 * P.keys.size > n * n:
+        E = P.toarray()
+        plan = _restore_inplace(E, shifted, vals, j0, j1)
+        return SparseMatrix.from_dense(E), plan
+    rows, cols = np.divmod(P.keys, n)
+    inner = np.abs(np.subtract(vals, shifted)) > CLOSED_TOL
+    inner[cols[inner[rows]]] = True  # and every column of those rows
+    inside = inner[rows] & inner[cols]
+    index = np.flatnonzero(inner)
+    local = np.cumsum(inner) - 1  # each block index's position in ``index``
+    m = index.size
+    E = np.zeros((m, m))
+    E[local[rows[inside]], local[cols[inside]]] = P.values[inside]
+    low = np.zeros(n, dtype=bool)
+    low[j0] = True
+    low = low[index]
+    at = index.tolist()
+    plan = _restore_inplace(
+        E,
+        [shifted[k] for k in at],
+        [vals[k] for k in at],
+        np.flatnonzero(low).tolist(),
+        np.flatnonzero(~low).tolist(),
+    )
+    # the block's nonzeros land among the entries outside it, all in order
+    E = E.ravel()
+    put = np.flatnonzero(E)
+    new_keys = index[put // m] * n + index[put % m]
+    outside = ~inside
+    land = P.keys[outside].searchsorted(new_keys) + np.arange(put.size)
+    rest = np.ones(np.count_nonzero(outside) + put.size, dtype=bool)
+    rest[land] = False
+    keys = np.empty(rest.size, dtype=np.int64)
+    keys[rest], keys[land] = P.keys[outside], new_keys
+    values = np.empty(rest.size)
+    values[rest], values[land] = P.values[outside], E[put]
+    return SparseMatrix(n, keys, values), MovePlan([Move(at[mv.i], at[mv.j], mv.c, mv.s) for mv in plan.moves])
+
+
+def build_case1(d) -> tuple[SparseMatrix, MovePlan]:
     """Projection with diagonal ``d``, a finite sequence in [0, 1] whose sum
     is within INTEGRALITY_TOL of an integer N, and the restoring rotations.
 
@@ -159,9 +229,10 @@ def build_case1(d) -> tuple[np.ndarray, MovePlan]:
     finite tetris block that closes at its last term: P' is the sum of v v^T
     over the rows of J0's block plus I - (the same over 1 - d on J1), formed
     from the rows' pair products, so P' == P'^T bit for bit. Rotations on
-    I0 x I1 then restore the shifted entries; each is feasible because
-    shifted(i) <= d(i) < 1/2 <= d(j) <= shifted(j). Exact 0s and 1s stay
-    decoupled, with exact 0 and 1 on the diagonal.
+    I0 x I1 then restore the shifted entries (``_restore``); each is
+    feasible because shifted(i) <= d(i) < 1/2 <= d(j) <= shifted(j). Exact
+    0s and 1s stay decoupled, with exact 0 and 1 on the diagonal. P comes
+    back as its sorted nonzeros; no n x n array is made.
     """
     vals = [float(x) for x in d]
     for x in vals:
@@ -193,12 +264,12 @@ def build_case1(d) -> tuple[np.ndarray, MovePlan]:
         shifted[i] = x
     for j, x in zip(j1, high):
         shifted[j] = 1.0 - x
-    return P, _restore_inplace(P, shifted, vals, j0, j1)
+    return _restore(P, shifted, vals, j0, j1)
 
 
 def _build_finite(vals: list[float], report: KadisonReport) -> BuildResult:
     P, _ = build_case1(vals)
-    return BuildResult(kadison=report, matrix=P, report=check_projection(P, vals))
+    return BuildResult(kadison=report, entries=P, report=check_projection(P, vals))
 
 
 def _build_power_approximate(
@@ -246,7 +317,7 @@ def _build_power_approximate(
     err_candidates += [1.0 - vals[i] for i in one_idx]
     err = max(err_candidates)
     rep = check_projection(out, vals, tol=err)
-    return BuildResult(kadison=report, matrix=out, report=rep, approximation_error=err)
+    return BuildResult(kadison=report, entries=out, report=rep, approximation_error=err)
 
 
 @dataclass
@@ -345,9 +416,9 @@ def _build_case2_result(
 
     dim = top + 1
     if plan.complemented:
-        result.matrix = _assemble(dim, [], blocks, sorted(set(range(dim)).difference(plan.trivial_zeros)))
+        result.entries = _assemble(dim, [], blocks, sorted(set(range(dim)).difference(plan.trivial_zeros)))
     else:
-        result.matrix = _assemble(dim, blocks, [], plan.trivial_ones)
+        result.entries = _assemble(dim, blocks, [], plan.trivial_ones)
     result.completed_indices = sorted(completed)
     return result
 

@@ -5,7 +5,8 @@ or CSV (flat list of numbers); matrices write as CSV with one row per line,
 comma-separated, each entry as ``"%.17g" % x``, which round-trips doubles
 exactly: +0.0 is ``0``, -0.0 is ``-0``, and NaN and infinities are ``nan``,
 ``inf`` and ``-inf``. Only the entries other than +0.0 are formatted, so a
-built projection, which is mostly zeros, writes at the cost of its nonzeros.
+built projection, which is mostly zeros, is written from its nonzeros with
+no n x n array besides the text itself.
 Exit codes: 0 success or feasible, 2 provably infeasible (report still
 emitted), failed verification, or a failed internal check (an invariant
 break or a stream that runs out of terms, reported as ``error: ...``),
@@ -25,7 +26,7 @@ import numpy as np
 from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2
 from .diagonal import DiagonalSpec, Verdict, classify
 from .tetris import NeedsMoreTermsError, completed_columns
-from .verify import check_projection, necessity_oracle
+from .verify import SparseMatrix, check_projection, necessity_oracle
 
 
 class CliInputError(ValueError):
@@ -128,14 +129,34 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
     return np.array([row for _, row in rows])
 
 
-def _matrix_to_csv(P: np.ndarray) -> str:
-    """``P`` as CSV text, every entry ``"%.17g" % x``. Only the entries other
-    than +0.0 (nonzeros, -0.0, NaN, infinities) are formatted; each +0.0
-    cell is the shared string ``"0"``, which is what the format gives."""
-    cells = np.full(P.shape, "0", dtype=object)
-    kept = (P != 0.0) | np.signbit(P)
-    cells[kept] = list(map("%.17g".__mod__, P[kept].tolist()))
-    return "\n".join(map(",".join, cells.tolist())) + "\n"
+def _matrix_to_csv(P) -> str:
+    """``P``, a dense array or a ``SparseMatrix``, as CSV text, every entry
+    ``"%.17g" % x``. Only the entries other than +0.0 (nonzeros, -0.0, NaN,
+    infinities) are formatted, and each row is one reused list of cells
+    with them put in; every +0.0 cell is the shared string ``"0"``, which
+    is what the format gives."""
+    if isinstance(P, SparseMatrix):
+        height = width = P.n
+        keys, values = P.keys, P.values
+    else:
+        height, width = P.shape
+        keys = np.flatnonzero((P != 0.0) | np.signbit(P))
+        values = P.ravel()[keys]
+    rows, cols = np.divmod(keys, max(width, 1))
+    ends = rows.searchsorted(np.arange(1, height + 1)).tolist()
+    cols = cols.tolist()
+    text = list(map("%.17g".__mod__, values.tolist()))
+    cells = ["0"] * width
+    lines = []
+    a = 0
+    for b in ends:
+        for c, t in zip(cols[a:b], text[a:b]):
+            cells[c] = t
+        lines.append(",".join(cells))
+        for c in cols[a:b]:
+            cells[c] = "0"
+        a = b
+    return "\n".join(lines) + "\n"
 
 
 def _write_output(payload: str, path: str | None) -> None:
@@ -163,7 +184,7 @@ def _cmd_build(ns: argparse.Namespace) -> int:
     except InfeasibleDiagonalError as e:
         _write_output(json.dumps(e.report.to_json_dict(), indent=2) + "\n", ns.output)
         return 2
-    if result.matrix is None:
+    if result.entries is None:
         raise CliInputError("--rows 0 leaves nothing to materialize; use the stream command")
     sidecar: dict = {
         "kadison": result.kadison.to_json_dict(),
@@ -178,7 +199,7 @@ def _cmd_build(ns: argparse.Namespace) -> int:
         sidecar["block_stride"] = result.block_stride
     if result.notices:
         sidecar["notices"] = result.notices
-    _write_output(_matrix_to_csv(result.matrix), ns.output)
+    _write_output(_matrix_to_csv(result.entries), ns.output)
     if ns.output is not None:
         _write_output(json.dumps(sidecar, indent=2) + "\n", ns.output + ".report.json")
     else:

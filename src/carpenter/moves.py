@@ -22,8 +22,9 @@ pairing loop, ``_restore_inplace``, also serves ``build_case1``.
 
 Every sum of v v^T is formed by one kernel: ``pair_products`` lists the
 ordered pairs within each run of labelled values (a tetris row, a column of
-``horn_build``'s factor) and ``pair_sum`` adds them with one ``np.bincount``,
-each entry a sequential sum from +0.0 in run order, exactly symmetric.
+``horn_build``'s factor) and ``pair_entries`` adds them with one ``np.bincount``,
+each entry a sequential sum from +0.0 in run order, exactly symmetric, kept
+as sorted nonzeros; ``pair_sum`` places them in a dense matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 # Contract tolerances.
 TARGET_TOL = 1e-11      # achieved diagonal entry after a targeted rotation
 SHIFT_BUDGET_TOL = 1e-9  # consistency of requested transfer budgets
+CLOSED_TOL = 1e-14      # a deficit or surplus this small needs no rotation
 
 
 def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> None:
@@ -102,12 +104,26 @@ def pair_products(lens, labels, values):
     return np.repeat(labels, partners), labels[right], w
 
 
-def pair_sum(n: int, rows, cols, w) -> np.ndarray:
-    """The n x n matrix with each w[p], in order, added at (rows[p], cols[p])
-    to +0.0: float zeros when there is no pair."""
-    keys = np.asarray(rows, dtype=np.intp) * n
+def pair_entries(n: int, rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n sum with each w[p], in order, added at (rows[p], cols[p])
+    to +0.0, as its nonzeros in row-major order: the sorted flat keys
+    i * n + j and their sums. One ``np.unique`` groups the pairs by key and
+    one ``np.bincount`` adds each group in pair order."""
+    keys = np.asarray(rows, dtype=np.int64) * n
     keys += cols
-    return np.bincount(keys, w, minlength=n * n).astype(float, copy=False).reshape(n, n)
+    keys, slot = np.unique(keys, return_inverse=True)
+    sums = np.bincount(slot, w, minlength=keys.size).astype(float, copy=False)
+    nonzero = sums != 0.0
+    return keys[nonzero], sums[nonzero]
+
+
+def pair_sum(n: int, rows, cols, w) -> np.ndarray:
+    """The dense n x n matrix of ``pair_entries``: float zeros when there is
+    no pair."""
+    keys, sums = pair_entries(n, rows, cols, w)
+    P = np.zeros(n * n)
+    P[keys] = sums
+    return P.reshape(n, n)
 
 
 def _require_symmetric(E: np.ndarray) -> None:
@@ -328,8 +344,8 @@ def _restore_inplace(E: np.ndarray, d_tilde, d, i0, i1) -> MovePlan:
     """The pairing loop of ``ops_restore``, on ``E`` itself and with no
     check of ``E``: each rotation costs rows and columns i and j of ``E``.
     Raises ValueError when the deficits and surpluses do not balance."""
-    deficits = [(k, d[k] - d_tilde[k]) for k in sorted(i0) if d[k] - d_tilde[k] > 1e-14]
-    surpluses = [(k, d_tilde[k] - d[k]) for k in sorted(i1) if d_tilde[k] - d[k] > 1e-14]
+    deficits = [(k, d[k] - d_tilde[k]) for k in sorted(i0) if d[k] - d_tilde[k] > CLOSED_TOL]
+    surpluses = [(k, d_tilde[k] - d[k]) for k in sorted(i1) if d_tilde[k] - d[k] > CLOSED_TOL]
     total_def = math.fsum(amt for _, amt in deficits)
     total_sur = math.fsum(amt for _, amt in surpluses)
     if abs(total_def - total_sur) > SHIFT_BUDGET_TOL:
@@ -343,15 +359,15 @@ def _restore_inplace(E: np.ndarray, d_tilde, d, i0, i1) -> MovePlan:
         ki, delta = deficits[a]
         kj, eps = surpluses[b]
         t = min(delta, eps)
-        if t > 1e-14:
+        if t > CLOSED_TOL:
             plan.append(rotate_to(E, ki, kj, E[ki, ki] + t))
         delta -= t
         eps -= t
-        if delta <= 1e-14:
+        if delta <= CLOSED_TOL:
             a += 1
         else:
             deficits[a] = (ki, delta)
-        if eps <= 1e-14:
+        if eps <= CLOSED_TOL:
             b += 1
         else:
             surpluses[b] = (kj, eps)

@@ -77,21 +77,10 @@ def _exact(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _least_reaching(target: float) -> int:
-    """Smallest exact sum, in units of 2**-1074, whose correctly rounded
-    value is >= ``target`` (a positive normal double). Int true division
-    rounds correctly, ties to even, as math.fsum does."""
-    mid = (_exact(math.nextafter(target, 0.0)) + _exact(target)) // 2
-    return mid if mid / _SCALE >= target else mid + 1
-
-
-_DEFICIT_CAP = _exact(2.0**-41)
-
-
 def _row_need(target: float) -> int:
     """Least exact prefix sum, in units of 2**-1074, that reaches row
-    ``target``: one whose correctly rounded value is >= ``target`` and
-    which falls short of it by at most 2**-41.
+    ``target``, a positive integer: one whose correctly rounded value is
+    >= ``target`` and which falls short of it by at most 2**-41.
 
     sigma = target - S(k - 2) exceeds d1 + d2 = S(k) - S(k - 2) by the
     deficit target - S(k). Rounding alone would let that deficit reach half
@@ -99,8 +88,16 @@ def _row_need(target: float) -> int:
     cap, about 4.5e-13, is no tighter than half an ulp up to 4096, so every
     target up to there keeps the rounded rule: 0.7 + 3 * 0.1 lies just
     below 1 but rounds to 1.0, so it reaches 1.
+
+    With 2**e <= n < 2**(e + 1), the double below n lies 2**(e - 52) under
+    it, or 2**(e - 53) when n is a power of two. The sum halfway between
+    rounds to n, whose significand is even (ties to even; past 2**52 the
+    cap binds), so the least sum that reaches n is n less half that gap.
     """
-    return max(_least_reaching(target), _exact(target) - _DEFICIT_CAP)
+    n = int(target)
+    e = n.bit_length() - 1
+    half_gap = 1021 + e - (n & (n - 1) == 0)  # log2 of half the gap, in units
+    return (n << 1074) - (1 << min(half_gap, 1033))  # the cap is 2**1033 units
 
 
 class NeedsMoreTermsError(RuntimeError):

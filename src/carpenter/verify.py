@@ -51,35 +51,70 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> VerificationReport:
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """An n x n matrix held as its nonzeros in row-major order: ``keys`` are
+    the flat positions i * n + j, strictly increasing, and ``values`` the
+    entries there. ``len`` gives n, as it does for the dense array."""
+
+    n: int
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n
+
+    @staticmethod
+    def from_dense(P: np.ndarray) -> "SparseMatrix":
+        keys = np.flatnonzero(P)
+        return SparseMatrix(P.shape[0], keys, P.ravel()[keys])
+
+    def toarray(self) -> np.ndarray:
+        P = np.zeros(self.n * self.n)
+        P[self.keys] = self.values
+        return P.reshape(self.n, self.n)
+
+    def diagonal(self) -> np.ndarray:
+        diag = np.zeros(self.n)
+        on = self.keys % (self.n + 1) == 0  # i * n + i
+        diag[self.keys[on] // (self.n + 1)] = self.values[on]
+        return diag
+
+
+def check_projection(P, d, tol: float = PROJECTION_TOL) -> VerificationReport:
     """Max-norm defects of ``P`` against the projection axioms and the
     target diagonal ``d``, plus the trace and a rank.
 
-    The idempotence defect is the max-norm over every entry of P @ P - P.
-    A built projection has a few nonzeros per row, so whenever ``P`` is
-    finite with at most n^2 / 8 nonzeros and at most n^2 nonzero pairs both
-    defects are read from its nonzeros (``_sparse_defects``): no n x n array
-    is made besides the nonzero mask. A dense matrix (a perturbed one, as
-    ``carpenter verify`` gets) and any matrix with a non-finite entry go
-    through P - P^T and the dense product instead, so NaN and inf report as
-    they always have. The
-    two routes give the same symmetry defect bit for bit; the idempotence
-    defects differ only by the rounding of dgemm's summation order.
+    ``P`` is a dense array or a ``SparseMatrix``; both give the same report
+    for the same matrix. The idempotence defect is the max-norm over every
+    entry of P @ P - P. A built projection has a few nonzeros per row, so
+    whenever ``P`` is finite with at most n^2 / 8 nonzeros and at most n^2
+    nonzero pairs, every defect, the diagonal and the trace are read from
+    its nonzeros (``_sparse_defects``), which a dense array gives up through
+    ``np.flatnonzero``: no n x n array is made. A dense matrix (a perturbed
+    one, as ``carpenter verify`` gets) and any matrix with a non-finite
+    entry go through P - P^T and the dense product instead, so NaN and inf
+    report as they always have. The two routes give the same symmetry
+    defect bit for bit; the idempotence defects differ only by the rounding
+    of dgemm's summation order.
 
     The rank is the number of eigenvalues above 1/2 of the symmetric matrix
     that ``np.linalg.eigvalsh`` reads, the lower triangle of ``P``. When the
     defects prove that every one of those eigenvalues lies within 1/(4n) of
     0 or 1 (``_certified_rank``), that number is the rounded trace, and no
-    eigensolver runs: a passing build verifies in the time of one matrix
+    eigensolver runs: a passing build verifies in the time of one sparse
     product. Otherwise (a perturbed, failing or non-finite matrix) the
     eigenvalues are computed and counted (``_counted_rank``). A NaN or an
     infinity in the lower triangle gives rank 0 without an eigensolve; it
     also fails the symmetry or diagonal check.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {P.shape}")
-    n = P.shape[0]
+    if isinstance(P, SparseMatrix):
+        n = P.n
+    else:
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {P.shape}")
+        n = P.shape[0]
     target = np.asarray(list(d), dtype=float)
     if target.size != n:
         raise ValueError(f"diagonal length {target.size} does not match matrix size {n}")
@@ -87,6 +122,8 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
         return VerificationReport(0.0, 0.0, 0.0, 0.0, 0, tol)
     defects = _sparse_defects(P)
     if defects is None:
+        if isinstance(P, SparseMatrix):
+            P = P.toarray()
         sym, skew_norm = _norms(P - P.T)
         p_norm = math.sqrt(float(np.vdot(P, P)))
         D = P @ P
@@ -94,11 +131,12 @@ def check_projection(P: np.ndarray, d, tol: float = PROJECTION_TOL) -> Verificat
         idem, defect_norm = _norms(D)
     else:
         sym, skew_norm, idem, defect_norm, p_norm = defects
-    derr = float(np.max(np.abs(np.diagonal(P) - target)))
-    tr = float(np.trace(P))
+    diag = P.diagonal()
+    derr = float(np.max(np.abs(diag - target)))
+    tr = float(np.sum(diag))
     rank = _certified_rank(n, tr, skew_norm, defect_norm, p_norm)
     if rank is None:
-        rank = _counted_rank(P)
+        rank = _counted_rank(P.toarray() if isinstance(P, SparseMatrix) else P)
     return VerificationReport(sym, idem, derr, tr, rank, tol)
 
 
@@ -123,79 +161,103 @@ def _norms(M: np.ndarray) -> tuple[float, float]:
     return abs(float(max(M.max(), -M.min()))), math.sqrt(float(np.vdot(M, M)))
 
 
-def _sparse_defects(P: np.ndarray):
+def _sparse_defects(P):
     """Max-norms and Frobenius norms of P - P^T and P @ P - P, and the
-    Frobenius norm of P, from the nonzeros of ``P``; None when ``P`` has a
-    non-finite entry, more than n^2 / 8 nonzeros (their index array would be
-    larger than the n x n nonzero mask) or more than n^2 nonzero pairs.
-    Nonzero (i, k) pairs with every nonzero of row k, so the pair count is
-    read off the nonzero counts of each row and column. A symmetric pattern
-    with over n^2 / 8 nonzeros and n >= 64 has more than n^2 pairs anyway.
+    Frobenius norm of P, from the nonzeros of ``P`` (a ``SparseMatrix``, or
+    a dense array counted first and then indexed by ``np.flatnonzero``);
+    None when ``P`` has a non-finite entry, more than n^2 / 8 nonzeros
+    (a dense matrix is cheaper to multiply densely) or more than n^2
+    nonzero pairs. Nonzero (i, k) pairs with every nonzero of row k, so the
+    pair count is read off the nonzero counts of each row and column. A
+    symmetric pattern with over n^2 / 8 nonzeros and n >= 64 has more than
+    n^2 pairs anyway.
 
-    Entry (i, j) of P - P^T is P[i, j] - P[j, i]: its max-norm is the
-    largest over the nonzeros (i, j), and its squared Frobenius norm adds
-    P[i, j]^2 once more for each nonzero whose mirror is zero, for (j, i).
+    Entry (i, j) of P - P^T is P[i, j] - P[j, i], the mirror found by
+    binary search among the sorted keys: its max-norm is the largest over
+    the nonzeros (i, j), and its squared Frobenius norm adds P[i, j]^2 once
+    more for each nonzero whose mirror is zero, for (j, i).
 
-    ``np.bincount`` adds each product P[i, k] * P[k, j] into its (i, j)
-    slot one after another, k ascending, so every entry is a sequential sum
-    of at most n products, as in the schoolbook triple loop (the products of
-    a zero are exact zeros and are skipped). Rows go in blocks of about
-    n^2 / 16 pairs, at least 4096 (so a small matrix is one block) and at
-    most 2^15, and of at most 2^17 entries of the product (1 MB), so a
-    block stays in cache. Each block has P's nonzeros in its rows
-    subtracted in place, gives its max, -min and sum of squares, and is
-    dropped: besides the n^2-byte nonzero mask nothing here grows as n^2.
+    ``np.add.at`` adds each product P[i, k] * P[k, j] into its (i, j) slot
+    one after another, k ascending, and then -P[i, j], so every entry of
+    P @ P - P is a sequential sum of at most n products from +0.0, as in
+    the schoolbook triple loop (the products of a zero are exact zeros and
+    are skipped), less P's entry. Rows go in blocks of at most 8192 pairs
+    (or one row) and of at most n^2 / 32 entries of the product, at least
+    2^15 (so a small matrix is one block) and at most 2^20, in one reused
+    buffer: a block is read back at the entries it touched, each once, for
+    their max, -min and sum of squares (or whole, when they are a quarter
+    of its rows or more), and zeroed there again. Every other entry of
+    P @ P - P is an exact zero, so nothing here grows as n^2.
 
     The max-norms equal the dense formulas' with the schoolbook product bit
     for bit; the Frobenius norms differ only in the order of summation.
     """
-    n = P.shape[0]
-    mask = P != 0.0
-    if 8 * np.count_nonzero(mask) > n * n:
+    if not isinstance(P, SparseMatrix):
+        n = P.shape[0]
+        if 8 * np.count_nonzero(P) > n * n:
+            return None
+        P = SparseMatrix.from_dense(P)
+    n, keys, vals = P.n, P.keys, P.values
+    if 8 * keys.size > n * n:
         return None
-    flat = np.flatnonzero(mask)
-    del mask
-    rows, cols = np.divmod(flat, n)
+    rows, cols = np.divmod(keys, n)
     row_nnz = np.bincount(rows, minlength=n)
-    col_nnz = np.bincount(cols, minlength=n)
-    if int(col_nnz @ row_nnz) > n * n:
+    if int(np.bincount(cols, minlength=n) @ row_nnz) > n * n:
         return None
-    vals = P.ravel()[flat]
     p_norm_sq = float(vals @ vals)
     if not math.isfinite(p_norm_sq):  # a non-finite entry makes the norm non-finite too
         return None
-    mirror = P[cols, rows]
+    mirror_keys = cols * n + rows
+    del rows
+    at = np.minimum(keys.searchsorted(mirror_keys), keys.size - 1)
+    mirror = np.where(keys[at] == mirror_keys, vals[at], 0.0)
+    del mirror_keys, at
     diff = vals - mirror
     lone = vals[mirror == 0.0]
     sym = float(np.abs(diff).max(initial=0.0))
     skew_norm = math.sqrt(float(diff @ diff) + float(lone @ lone))
+    del mirror, diff, lone
 
     nz_end = np.cumsum(row_nnz)
-    starts = nz_end - row_nnz  # position of each row's first nonzero
     partners = row_nnz[cols]  # the pairs each nonzero (i, k) heads
-    pair_end = np.concatenate(([0], np.cumsum(partners)))[nz_end]  # pairs through row r
-    budget = max(4096, min(n * n // 16, 1 << 15))
-    max_rows = max(1, (1 << 17) // n)
+    first_pair = np.cumsum(partners)
+    pair_end = np.concatenate(([0], first_pair))[nz_end]  # pairs through row r
+    first_pair -= partners
+    # a pair's right factor is this plus the pair's index: the nonzeros of
+    # row k, in order
+    right_base = (nz_end - row_nnz)[cols] - first_pair
+    del first_pair
+    max_rows = max(1, min(max(1 << 15, n * n // 32), 1 << 20) // n)
+    D = np.zeros(min(max_rows, n) * n)
     idem = defect_sq = 0.0
     r0 = 0
     while r0 < n:
         done = int(pair_end[r0 - 1]) if r0 else 0
-        r1 = max(r0 + 1, int(pair_end.searchsorted(done + budget, side="right")))
-        r1 = min(r1, r0 + max_rows)
-        a, b = starts[r0], nz_end[r1 - 1]
+        r1 = max(r0 + 1, int(pair_end.searchsorted(done + 8192, side="right")))
+        r1 = min(r1, r0 + max_rows, n)
+        a, b = (int(nz_end[r0 - 1]) if r0 else 0), int(nz_end[r1 - 1])
         counts = partners[a:b]
-        # each pair's right factor: the nonzeros of row k, in order
-        right = np.repeat(starts[cols[a:b]] - (np.cumsum(counts) - counts), counts)
+        right = np.repeat(right_base[a:b] + done, counts)
         right += np.arange(right.size)
-        key = np.repeat((rows[a:b] - r0) * n, counts)
-        key += cols[right]
-        w = np.repeat(vals[a:b], counts)
-        w *= vals[right]
-        # with no pair at all bincount returns int64 zeros
-        D = np.bincount(key, weights=w, minlength=(r1 - r0) * n).astype(float, copy=False)
-        D[flat[a:b] - r0 * n] -= vals[a:b]  # minus P's rows, zero off their nonzeros
-        idem = max(idem, D.max(), -D.min())
-        defect_sq += float(D @ D)
+        local = keys[a:b] - r0 * n  # (i - r0) * n + j for each nonzero (i, j)
+        touched = np.concatenate((np.repeat(local - cols[a:b], counts) + cols[right], local))
+        w = np.concatenate((np.repeat(vals[a:b], counts) * vals[right], -vals[a:b]))
+        np.add.at(D, touched, w)
+        whole = 4 * touched.size >= (r1 - r0) * n  # the rows are cheaper to read whole
+        if whole:
+            block = D[: (r1 - r0) * n]
+        else:
+            block = D[touched]
+            # each touched entry once: of the positions that write one
+            # slot, exactly one reads its own index back
+            seq = np.arange(touched.size, dtype=float)
+            D[touched] = seq
+            block = block[D[touched] == seq]
+            D[touched] = 0.0
+        idem = max(idem, block.max(initial=0.0), -block.min(initial=0.0))
+        defect_sq += float(block @ block)
+        if whole:
+            block[:] = 0.0
         r0 = r1
     return sym, skew_norm, abs(float(idem)), math.sqrt(defect_sq), math.sqrt(p_norm_sq)
 
@@ -205,10 +267,12 @@ def _certified_rank(n: int, tr: float, skew_norm: float, defect_norm: float, p_n
 
     ``skew_norm``, ``defect_norm`` and ``p_norm`` are the Frobenius norms of
     the computed P - P^T, P @ P - P and of P: summed over the whole arrays
-    on the dense route, over P's nonzeros and the product's row blocks on
-    ``_sparse_defects``' route. Let A be the symmetric matrix
-    on P's lower triangle and E = A - P, so ||E||_2 <= e = skew_norm / sqrt(2)
-    and ||P||_2 <= f = p_norm. Each entry of the computed product is a sum of
+    on the dense route; on ``_sparse_defects``' route over P's nonzeros and
+    the entries of P @ P - P that a pair or a nonzero of P touches, each
+    once, every other entry being an exact zero: the same norms summed in
+    another order, not bounds standing in for them. Let A be the symmetric
+    matrix on P's lower triangle and E = A - P, so
+    ||E||_2 <= e = skew_norm / sqrt(2) and ||P||_2 <= f = p_norm. Each entry of the computed product is a sum of
     at most n products, whether dgemm forms it or ``_sparse_defects`` adds the
     nonzero ones in sequence, so it is off by at most gamma_n times the sum
     of the products' magnitudes (gamma_n = n u / (1 - n u), u the unit

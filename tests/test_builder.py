@@ -28,13 +28,19 @@ def idempotence_defect(P):
     return float(np.max(np.abs(P @ P - P)))
 
 
+def dense_case1(d):
+    # build_case1 returns P as its sorted nonzeros; these tests read it densely
+    P, plan = build_case1(d)
+    return P.toarray(), plan
+
+
 # A finite diagonal is both summable and cosummable; these tests keep the
 # inputs the separate summable and cosummable builders were tested on, now
 # built by build_case1's one route.
 def test_build_summable_two_thirds():
     # J0 is empty and eta = 0: one tetris block on 1 - d, complemented
     d = [2 / 3, 2 / 3, 2 / 3]
-    P, plan = build_case1(d)
+    P, plan = dense_case1(d)
     assert P.shape == (3, 3)
     assert len(plan) == 0
     assert np.trace(P) == pytest.approx(2.0, abs=1e-12)
@@ -45,10 +51,10 @@ def test_build_summable_two_thirds():
 def test_build_summable_strips_zeros_and_keeps_ones():
     # nothing to shift, no block rows: the diagonal itself, bit for bit
     for d in ([1.0, 0.0], [0.0, 1.0], []):
-        P, plan = build_case1(d)
+        P, plan = dense_case1(d)
         assert np.array_equal(P, np.diag(d)) and len(plan) == 0
     # and exact 0s and 1s stay decoupled from the rest
-    P, _ = build_case1([1.0, 0.4, 0.0, 0.6, 1.0])
+    P, _ = dense_case1([1.0, 0.4, 0.0, 0.6, 1.0])
     for i in (0, 2, 4):
         assert np.all(np.delete(P[i], i) == 0.0) and P[i, i] == [1.0, 0.0, 1.0][i // 2]
 
@@ -56,7 +62,7 @@ def test_build_summable_strips_zeros_and_keeps_ones():
 def test_build_summable_rank_two():
     # J0 = {2}, eta = 0.3: 0.3 moves onto 0.9 and 0.8, two rotations restore it
     d = [0.9, 0.8, 0.3]
-    P, plan = build_case1(d)
+    P, plan = dense_case1(d)
     assert len(plan) == 2
     assert np.diag(P) == pytest.approx(d, abs=1e-15)
     assert idempotence_defect(P) <= 1e-12
@@ -66,15 +72,15 @@ def test_build_summable_rank_two():
 
 def test_build_summable_rejects_bad_input():
     with pytest.raises(ValueError, match="outside"):
-        build_case1([0.5, 1.2])
+        dense_case1([0.5, 1.2])
     with pytest.raises(ValueError, match="not an integer"):
-        build_case1([0.3, 0.3])
+        dense_case1([0.3, 0.3])
 
 
 def test_build_cosummable_one_third():
     # J1 is empty and eta = 0: one tetris block on d
     d = [1 / 3, 1 / 3, 1 / 3]
-    P, plan = build_case1(d)
+    P, plan = dense_case1(d)
     assert len(plan) == 0
     assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
     assert idempotence_defect(P) <= 1e-12
@@ -82,7 +88,7 @@ def test_build_cosummable_one_third():
 
 
 def test_build_cosummable_identity():
-    P, plan = build_case1([1.0, 1.0])
+    P, plan = dense_case1([1.0, 1.0])
     assert np.array_equal(P, np.eye(2)) and len(plan) == 0
 
 
@@ -91,16 +97,16 @@ def test_complement_swaps_diagonal():
     # on dyadic entries below 1/2 the route's J1 block is that complement, bit
     # for bit
     d = [0.25, 0.25, 0.25, 0.25]
-    P, _ = build_case1(d)
-    Q, _ = build_case1([1.0 - x for x in d])
+    P, _ = dense_case1(d)
+    Q, _ = dense_case1([1.0 - x for x in d])
     assert np.array_equal(P, np.eye(4) - Q)
     d = [1 / 3, 1 / 3, 1 / 3]
-    Q, _ = build_case1([1.0 - x for x in d])
+    Q, _ = dense_case1([1.0 - x for x in d])
     C = np.eye(3) - Q
     assert np.diag(C) == pytest.approx(d, abs=1e-15)
     assert idempotence_defect(C) <= 1e-12
-    assert np.array_equal(build_case1([0.0, 0.0])[0], np.zeros((2, 2)))
-    assert np.array_equal(build_case1([0.0, 1.0])[0], np.diag([0.0, 1.0]))
+    assert np.array_equal(dense_case1([0.0, 0.0])[0], np.zeros((2, 2)))
+    assert np.array_equal(dense_case1([0.0, 1.0])[0], np.diag([0.0, 1.0]))
 
 
 def test_case1_full_pipeline_frozen_instance():
@@ -109,7 +115,7 @@ def test_case1_full_pipeline_frozen_instance():
     # on position 5. The blocks realize (0, 0.3, 0.4, 0.3) and 1 - (1, 1), and
     # two rotations, (0, 4) and (1, 5), restore the shifted entries.
     d = [0.4, 0.4, 0.4, 0.3, 0.6, 0.9]
-    P, plan = build_case1(d)
+    P, plan = dense_case1(d)
     assert [(m.i, m.j) for m in plan.moves] == [(0, 4), (1, 5)]
     assert np.array_equal(P, P.T)
     assert np.diag(P) == pytest.approx(d, abs=1e-15)
@@ -123,7 +129,7 @@ def test_case1_full_pipeline_frozen_instance():
 
 
 def case1_exactly(d):
-    P, _ = build_case1(d)
+    P, _ = dense_case1(d)
     assert np.array_equal(P, P.T)
     assert np.diag(P) == pytest.approx(d, abs=1e-15)
     assert idempotence_defect(P) <= 1e-15

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from itertools import islice
 
@@ -386,6 +387,100 @@ def test_fitted_finite_sources_close(values):
     _fit_to_sum(values, target)
     assert math.fsum([-target, *values]) == 0.0
     assert_block_closes(values, ROW_NORM_TOL, ROW_NORM_TOL)
+
+
+def fit_to_sum_by_full_walk(vals, target):
+    """``_fit_to_sum`` as it was before it skipped the entries that cannot
+    move: every pass walks every entry left inside (0, 1)."""
+    before = list(vals)
+    inner = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
+    r = -math.fsum([-target, *vals])
+    while r:
+        if not inner:
+            raise ValueError(f"cannot fit the sum to {target}: {r} left over")
+        start = r
+        inner.sort(key=vals.__getitem__, reverse=True)
+        left = len(inner)
+        for i in inner:
+            v = vals[i]
+            w = v + r / left
+            if not 0.0 <= w <= 1.0:
+                w = 0.0 if w < 0.0 else 1.0
+            vals[i] = w
+            r -= w - v
+            left -= 1
+        r = -math.fsum([-target, *vals])
+        kept = [i for i in inner if 0.0 < vals[i] < 1.0]
+        if r == start and len(kept) == len(inner):
+            raise ValueError(f"cannot fit the sum to {target}: {r} left over")
+        inner = kept
+    return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
+
+
+FIT_TERMS = [0.0, 1.0, 0.5, 0.25, 0.75, 1 / 3, 2 / 3, 0.1, 2.0**-53, 1.0 - 2.0**-53, 0.5 - 2.0**-54, 5e-324]
+
+
+@st.composite
+def fit_inputs(draw):
+    """Entries of [0, 1], many of them tied or exact 0s and 1s, and a target
+    near their sum; then a few entries nudged by an ulp or two, so that the
+    residual is often an ulp or a tie."""
+    values = draw(st.lists(st.one_of(st.sampled_from(FIT_TERMS), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(values) - 1))
+        step = draw(st.sampled_from([-2, -1, 1, 2]))
+        v = values[i]
+        for _ in range(abs(step)):
+            v = math.nextafter(v, math.copysign(math.inf, step))
+        values[i] = min(1.0, max(0.0, v))
+    target = round(math.fsum(values)) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return values, target
+
+
+@ORACLE
+@given(fit_inputs())
+def test_fit_to_sum_matches_the_full_walk(case):
+    # skipping the entries whose quarter ulp exceeds r / left changes no bit:
+    # the same entries, the same largest move, the same error
+    values, target = case
+    got, want = list(values), list(values)
+    try:
+        expected = fit_to_sum_by_full_walk(want, target)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            _fit_to_sum(got, target)
+        return
+    assert _fit_to_sum(got, target) == expected
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_fit_to_sum_puts_an_ulp_back_where_it_was_taken():
+    # 1000 quarters, one of them an ulp low: r / left reaches a quarter ulp
+    # of 1/4 only at the last two entries of the walk, and the low entry
+    # takes the whole residual back
+    values = [0.25] * 1000
+    values[0] = math.nextafter(0.25, 0.0)
+    got, want = list(values), list(values)
+    assert _fit_to_sum(got, 250) == fit_to_sum_by_full_walk(want, 250) == 2.0**-55
+    assert got == want == [0.25] * 1000
+
+
+def row_need_by_rounding(target):
+    """``_row_need`` as it was before its closed form: the least exact sum
+    that rounds to ``target`` or above, from the midpoint below it, or the
+    2**-41 cap, whichever needs more."""
+    mid = (_exact(math.nextafter(target, 0.0)) + _exact(target)) // 2
+    least = mid if mid / _SCALE >= target else mid + 1
+    return max(least, _exact(target) - _exact(2.0**-41))
+
+
+def test_row_need_closed_form_matches_the_rounding_rule():
+    # every row count to 2^20, which crosses 4096, where the cap starts to
+    # bind, and powers of two, one below and one above, to 2^62
+    edges = [2**k + s for k in range(63) for s in (-1, 0, 1) if 2**k + s > 0]
+    for n in itertools.chain(range(1, 2**20 + 1), edges):
+        target = float(n)
+        assert _row_need(target) == row_need_by_rounding(target), n
 
 
 def test_sparse_row_serialization():

@@ -288,8 +288,9 @@ def test_sparse_perturbations_on_both_sides_of_the_certificate(eigvalsh_calls):
 
 
 def test_verifying_a_build_makes_no_dense_temporary():
-    # Verifying the pinned n = 1000 build allocates less than one n x n
-    # float array: the nonzero mask is n^2 bytes, the rest O(nonzeros + pairs).
+    # Verifying the pinned n = 1000 build, handed over dense, allocates less
+    # than an n^2-byte mask would: np.flatnonzero makes none, and the rest
+    # is O(nonzeros + pairs) besides a product buffer of n^2 / 32 entries.
     d, P = pinned_build(1000)
     tracemalloc.start()
     try:
@@ -297,7 +298,21 @@ def test_verifying_a_build_makes_no_dense_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < P.nbytes
+    assert peak < P.nbytes / 8
+
+
+def test_building_at_ten_thousand_makes_no_dense_matrix():
+    # build and verification at n = 10^4 keep P as its nonzeros (about 8 a
+    # row); the dense P alone would be 800 MB
+    d = integer_sum_diagonal(np.random.default_rng(10_000), 10_000)
+    tracemalloc.start()
+    try:
+        res = build(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.report.all_pass
+    assert peak < 32e6
 
 
 # Report fields of build(integer_sum_diagonal(default_rng(n), n)).report as
@@ -313,8 +328,45 @@ BUILD_REPORTS = {
 }
 
 
+NAN, INF = math.nan, math.inf
+
+
 def report_fields(rep):
     return (rep.symmetry_defect, rep.idempotence_defect, rep.diagonal_max_error, rep.trace, rep.estimated_rank)
+
+
+def same_report(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(report_fields(a), report_fields(b)))
+
+
+@pytest.mark.parametrize("n", [5, 50, 300, 1000])
+def test_sparse_and_dense_inputs_give_the_same_report(n):
+    # a build's own entries, and its dense matrix handed over by a caller,
+    # are read through the same nonzeros: the reports agree bit for bit
+    d = integer_sum_diagonal(np.random.default_rng(n), n)
+    res = build(d)
+    assert same_report(check_projection(res.entries, d), res.report)
+    assert same_report(check_projection(res.matrix, d), res.report)
+
+
+def test_sparse_and_dense_inputs_agree_off_the_build():
+    # the lone mirror and non-finite entries, handed over either way
+    d, P = pinned_build(300)
+    Q = P.copy()
+    i, j = np.argwhere(np.triu(Q, 1) != 0.0)[0]
+    Q[i, j] = 0.0
+    cases = [(Q, d)]
+    d = integer_sum_diagonal(np.random.default_rng(50), 50)
+    for pos in ((1, 2), (0, 0)):
+        for value in (NAN, INF, -INF):
+            R = build(d).matrix
+            R[pos] = value
+            cases.append((R, d))
+    for M, target in cases:
+        with np.errstate(invalid="ignore"):
+            sparse = check_projection(verify.SparseMatrix.from_dense(M), target)
+            dense = check_projection(M, target)
+        assert same_report(sparse, dense), (report_fields(sparse), report_fields(dense))
 
 
 @pytest.mark.parametrize("n", sorted(BUILD_REPORTS))
@@ -323,9 +375,6 @@ def test_build_reports_match_dense_product_reports(n):
     want = BUILD_REPORTS[n]
     assert got[:1] + got[2:] == want[:1] + want[2:]
     assert abs(got[1] - want[1]) <= 1e-15
-
-
-NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize(
