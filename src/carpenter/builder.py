@@ -163,34 +163,35 @@ def _assemble(n: int, plus, minus, ones) -> SparseMatrix:
         np.negative(w, out=w)
     ones = np.asarray(ones, dtype=np.intp)
     diagonal = (ones, ones, np.ones(ones.size))
-    return SparseMatrix(n, *pair_entries(n, *map(np.concatenate, zip(*plus, *minus, diagonal))))
+    return pair_entries(n, *map(np.concatenate, zip(*plus, *minus, diagonal)))
 
 
 def _restore(P: SparseMatrix, shifted, vals, j0, j1) -> tuple[SparseMatrix, MovePlan]:
     """``moves._restore_inplace`` on the rows and columns it rotates, which
     the deficits and surpluses fix before any rotation runs: the entries
-    ``shifted`` moved off ``vals``. Its rotations mix those rows among
-    themselves, so the rows keep to the columns they start with; the dense
-    block on those indices and columns is gathered once, rotated, and put
-    back, and the Moves are returned in P's indices. Entries outside the
-    block are the zeros and the untouched entries they are on the dense P,
-    so the result is the dense restore's bit for bit. A P with more than
-    n^2 / 8 nonzeros (n below about 70) is restored dense, as the gather
-    would cost more than it saves."""
+    ``shifted`` moved off ``vals``, on J0 and J1. Its rotations mix those
+    rows among themselves, so the rows keep to the columns they start with;
+    the dense block on those indices and columns is gathered once, rotated,
+    and put back, and the Moves are returned in P's indices. Entries
+    outside the block are the zeros and the untouched entries they are on
+    the dense P, so the result is the dense restore's bit for bit.
+
+    A P with more than n^2 / 8 nonzeros (n below about 70, the rule by
+    which the verifier too takes a matrix as dense) is restored dense:
+    there the block is most of P, and the gather's array passes cost more
+    than they save (on ``integer_sum_diagonal`` inputs, one BLAS thread,
+    the gathered restore takes 40 to 60 us longer at n = 10 to 70, 5 to
+    10 % of ``build_case1``, 30 us at n = 100 and none by n = 150)."""
     n = P.n
     if 8 * P.keys.size > n * n:
         E = P.toarray()
         plan = _restore_inplace(E, shifted, vals, j0, j1)
         return SparseMatrix.from_dense(E), plan
-    rows, cols = np.divmod(P.keys, n)
+    rows, cols = P.coords()
     inner = np.abs(np.subtract(vals, shifted)) > CLOSED_TOL
     inner[cols[inner[rows]]] = True  # and every column of those rows
-    inside = inner[rows] & inner[cols]
     index = np.flatnonzero(inner)
-    local = np.cumsum(inner) - 1  # each block index's position in ``index``
-    m = index.size
-    E = np.zeros((m, m))
-    E[local[rows[inside]], local[cols[inside]]] = P.values[inside]
+    E = P.block(index)
     low = np.zeros(n, dtype=bool)
     low[j0] = True
     low = low[index]
@@ -202,19 +203,7 @@ def _restore(P: SparseMatrix, shifted, vals, j0, j1) -> tuple[SparseMatrix, Move
         np.flatnonzero(low).tolist(),
         np.flatnonzero(~low).tolist(),
     )
-    # the block's nonzeros land among the entries outside it, all in order
-    E = E.ravel()
-    put = np.flatnonzero(E)
-    new_keys = index[put // m] * n + index[put % m]
-    outside = ~inside
-    land = P.keys[outside].searchsorted(new_keys) + np.arange(put.size)
-    rest = np.ones(np.count_nonzero(outside) + put.size, dtype=bool)
-    rest[land] = False
-    keys = np.empty(rest.size, dtype=np.int64)
-    keys[rest], keys[land] = P.keys[outside], new_keys
-    values = np.empty(rest.size)
-    values[rest], values[land] = P.values[outside], E[put]
-    return SparseMatrix(n, keys, values), MovePlan([Move(at[mv.i], at[mv.j], mv.c, mv.s) for mv in plan.moves])
+    return P.with_block(index, E), MovePlan([Move(at[mv.i], at[mv.j], mv.c, mv.s) for mv in plan.moves])
 
 
 def build_case1(d) -> tuple[SparseMatrix, MovePlan]:

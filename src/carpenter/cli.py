@@ -130,23 +130,18 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
 
 
 def _matrix_to_csv(P) -> str:
-    """``P``, a dense array or a ``SparseMatrix``, as CSV text, every entry
-    ``"%.17g" % x``. Only the entries other than +0.0 (nonzeros, -0.0, NaN,
-    infinities) are formatted, and each row is one reused list of cells
-    with them put in; every +0.0 cell is the shared string ``"0"``, which
-    is what the format gives."""
-    if isinstance(P, SparseMatrix):
-        height = width = P.n
-        keys, values = P.keys, P.values
-    else:
-        height, width = P.shape
-        keys = np.flatnonzero((P != 0.0) | np.signbit(P))
-        values = P.ravel()[keys]
-    rows, cols = np.divmod(keys, max(width, 1))
-    ends = rows.searchsorted(np.arange(1, height + 1)).tolist()
+    """``P``, a ``SparseMatrix`` or a square dense array, as CSV text, every
+    entry ``"%.17g" % x``. Only the entries other than +0.0 (nonzeros, and
+    on a dense array -0.0, NaN and infinities) are formatted, and each row
+    is one reused list of cells with them put in; every +0.0 cell is the
+    shared string ``"0"``, which is what the format gives."""
+    if not isinstance(P, SparseMatrix):
+        P = SparseMatrix.from_dense(P, keep_negative_zeros=True)
+    rows, cols = P.coords()
+    ends = rows.searchsorted(np.arange(1, P.n + 1)).tolist()
     cols = cols.tolist()
-    text = list(map("%.17g".__mod__, values.tolist()))
-    cells = ["0"] * width
+    text = list(map("%.17g".__mod__, P.values.tolist()))
+    cells = ["0"] * P.n
     lines = []
     a = 0
     for b in ends:

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .verify import SparseMatrix
+
 # Contract tolerances.
 TARGET_TOL = 1e-11      # achieved diagonal entry after a targeted rotation
 SHIFT_BUDGET_TOL = 1e-9  # consistency of requested transfer budgets
@@ -104,26 +106,23 @@ def pair_products(lens, labels, values):
     return np.repeat(labels, partners), labels[right], w
 
 
-def pair_entries(n: int, rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
+def pair_entries(n: int, rows, cols, w) -> SparseMatrix:
     """The n x n sum with each w[p], in order, added at (rows[p], cols[p])
-    to +0.0, as its nonzeros in row-major order: the sorted flat keys
-    i * n + j and their sums. One ``np.unique`` groups the pairs by key and
-    one ``np.bincount`` adds each group in pair order."""
+    to +0.0, as its nonzeros. One ``np.unique`` groups the pairs by their
+    row-major position and one ``np.bincount`` adds each group in pair
+    order."""
     keys = np.asarray(rows, dtype=np.int64) * n
     keys += cols
     keys, slot = np.unique(keys, return_inverse=True)
     sums = np.bincount(slot, w, minlength=keys.size).astype(float, copy=False)
     nonzero = sums != 0.0
-    return keys[nonzero], sums[nonzero]
+    return SparseMatrix(n, keys[nonzero], sums[nonzero])
 
 
 def pair_sum(n: int, rows, cols, w) -> np.ndarray:
     """The dense n x n matrix of ``pair_entries``: float zeros when there is
     no pair."""
-    keys, sums = pair_entries(n, rows, cols, w)
-    P = np.zeros(n * n)
-    P[keys] = sums
-    return P.reshape(n, n)
+    return pair_entries(n, rows, cols, w).toarray()
 
 
 def _require_symmetric(E: np.ndarray) -> None:

@@ -184,6 +184,10 @@ def dense_defects(P, square):
     return (np.abs(S).max(), np.linalg.norm(S), np.abs(D).max(), np.linalg.norm(D), np.linalg.norm(P))
 
 
+def sparse_defects(P):
+    return verify._sparse_defects(verify.SparseMatrix.from_dense(P))
+
+
 def assert_defects_match(got, want):
     # max-norms bit for bit; Frobenius norms up to the summation order
     sym, skew, idem, defect, p_norm = got
@@ -194,20 +198,20 @@ def assert_defects_match(got, want):
 @pytest.mark.parametrize("name", sorted(PAIR_CASES))
 def test_pair_product_matches_dense_product(name):
     P = PAIR_CASES[name]
-    got = verify._sparse_defects(P)
+    got = sparse_defects(P)
     assert got is not None
     assert_defects_match(got, dense_defects(P, k_ordered_square(P)))
 
 
 def test_dense_and_non_finite_matrices_take_the_dense_product():
     P = np.random.default_rng(5).standard_normal((40, 40))
-    assert verify._sparse_defects(P) is None
+    assert sparse_defects(P) is None
     rep = check_projection(P, [0.0] * len(P))
     assert rep.symmetry_defect == np.abs(P - P.T).max()
     assert rep.idempotence_defect == np.abs(P @ P - P).max()
     Q = PAIR_CASES["sparse-symmetric"].copy()
     Q[3, 4] = math.nan
-    assert verify._sparse_defects(Q) is None
+    assert sparse_defects(Q) is None
     with np.errstate(invalid="ignore"):
         rep = check_projection(Q, [0.0] * len(Q))
     assert math.isnan(rep.symmetry_defect) and math.isnan(rep.idempotence_defect)
@@ -216,23 +220,21 @@ def test_dense_and_non_finite_matrices_take_the_dense_product():
 def test_one_by_one_matrix_takes_the_dense_product():
     # one nonzero is more than n^2 / 8 of a 1 x 1 matrix
     one = np.array([[0.7]])
-    assert verify._sparse_defects(one) is None
+    assert sparse_defects(one) is None
     rep = check_projection(one, [0.7])
     assert rep.symmetry_defect == 0.0
     assert rep.idempotence_defect == abs(0.7 * 0.7 - 0.7)
 
 
-def test_dense_matrix_falls_back_before_indexing():
-    # The nonzero counts decide the route: a dense matrix gets no index
-    # arrays, which would take 8 bytes for each of its n^2 nonzeros.
+def test_dense_matrix_falls_back_before_indexing(monkeypatch):
+    # The nonzero count decides the route: a dense matrix is not turned into
+    # index arrays, which would take 8 bytes for each of its n^2 nonzeros.
     P = np.random.default_rng(6).standard_normal((400, 400))
-    tracemalloc.start()
-    try:
-        assert verify._sparse_defects(P) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < P.size * 2
+    indexed = []
+    monkeypatch.setattr(verify.SparseMatrix, "from_dense", lambda *a, **k: indexed.append(a))
+    rep = check_projection(P, [0.0] * len(P))
+    assert indexed == []
+    assert rep.symmetry_defect == np.abs(P - P.T).max()
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,7 +269,7 @@ def test_lone_mirror_counts_in_the_skew_norm():
     Q = P.copy()
     i, j = np.argwhere(np.triu(Q, 1) != 0.0)[0]
     Q[i, j] = 0.0
-    got = verify._sparse_defects(Q)
+    got = sparse_defects(Q)
     assert got is not None
     assert_defects_match(got, dense_defects(Q, k_ordered_square(Q)))
     assert_report_matches_dense(Q, d)
@@ -280,7 +282,7 @@ def test_sparse_perturbations_on_both_sides_of_the_certificate(eigvalsh_calls):
     Z[rng.integers(0, 300, 6), rng.integers(0, 300, 6)] = rng.standard_normal(6)
     for t, certified in ((1e-9, True), (1e-2, False)):
         Q = P + t * Z
-        assert verify._sparse_defects(Q) is not None
+        assert sparse_defects(Q) is not None
         eigvalsh_calls.clear()
         check_projection(Q, d)
         assert (not eigvalsh_calls) is certified
@@ -367,6 +369,49 @@ def test_sparse_and_dense_inputs_agree_off_the_build():
             sparse = check_projection(verify.SparseMatrix.from_dense(M), target)
             dense = check_projection(M, target)
         assert same_report(sparse, dense), (report_fields(sparse), report_fields(dense))
+
+
+@pytest.mark.parametrize(
+    "keys, values",
+    [
+        ([4, 0, 8], [0.5, 0.5, 0.5]),  # unsorted
+        ([0, 4, 4, 8], [0.5, 0.25, 0.25, 0.5]),  # repeated
+        ([0, 4, 9], [0.5, 0.5, 0.5]),  # past n^2 - 1
+        ([-1, 4], [0.5, 0.5]),  # negative
+        ([0, 4], [0.5, 0.5, 0.5]),  # more values than keys
+        ([[0, 4]], [[0.5, 0.5]]),  # not one-dimensional
+        ([0.0, 4.0], [0.5, 0.5]),  # not integers
+    ],
+)
+def test_sparse_matrix_rejects_keys_out_of_form(keys, values):
+    # the mirrors and row groups of _sparse_defects read sorted, distinct,
+    # in-range keys; anything else is refused before a report is made
+    with pytest.raises(ValueError):
+        check_projection(verify.SparseMatrix(3, np.array(keys), np.array(values)), [0.5] * 3)
+
+
+def test_sparse_matrix_takes_its_form_from_sequences():
+    S = verify.SparseMatrix(2, [0, 3], [0.5, 0.5])
+    assert S.keys.dtype.kind == "i" and S.values.dtype == float
+    assert np.array_equal(S.toarray(), np.diag([0.5, 0.5]))
+    assert verify.SparseMatrix(0, [], []).toarray().shape == (0, 0)
+    rows, cols = verify.SparseMatrix(3, np.array([1, 5, 6]), np.ones(3)).coords()
+    assert rows.tolist() == [0, 1, 2] and cols.tolist() == [1, 2, 0]
+
+
+def test_sparse_matrix_block_replaces_as_the_dense_matrix_does():
+    rng = np.random.default_rng(8)
+    A = np.where(rng.random((9, 9)) < 0.3, rng.standard_normal((9, 9)), 0.0)
+    S = verify.SparseMatrix.from_dense(A)
+    index = np.array([1, 4, 5, 8])
+    E = S.block(index)
+    assert np.array_equal(E, A[index][:, index])
+    E[0, 1], E[2, 2], E[3, 0] = 2.0, 0.0, -1.5
+    B = A.copy()
+    for a, i in enumerate(index):
+        B[i, index] = E[a]
+    got = S.with_block(index, E)
+    assert np.array_equal(got.keys, np.flatnonzero(B)) and np.array_equal(got.values, B.ravel()[got.keys])
 
 
 @pytest.mark.parametrize("n", sorted(BUILD_REPORTS))
