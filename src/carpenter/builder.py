@@ -124,9 +124,11 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
     entries stay as they are. Along the walk |r / left| grows and ulp(v)
     shrinks, so the walk starts at the first entry where |r / left| reaches
     ulp(v) / 4, found by bisection: a residual of an ulp walks a few
-    entries, not all m.
+    entries, not all m. The largest move is taken over the entries the walk
+    visits, each from its value before its first visit; the others stay
+    put.
     """
-    before = list(vals)
+    before = {}  # each visited entry's value before its first visit
     inner = [i for i, v in enumerate(vals) if 0.0 < v < 1.0]
     r = -math.fsum([-target, *vals])
     while r:
@@ -139,6 +141,7 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
         left = m - first
         for i in inner[first:]:
             v = vals[i]
+            before.setdefault(i, v)
             w = v + r / left
             if not 0.0 <= w <= 1.0:
                 w = 0.0 if w < 0.0 else 1.0
@@ -150,7 +153,7 @@ def _fit_to_sum(vals: list[float], target: int) -> float:
         if r == start and len(kept) == len(inner):
             raise ValueError(f"cannot fit the sum to {target}: {r} left over")
         inner = kept
-    return max((abs(v - b) for v, b in zip(vals, before)), default=0.0)
+    return max((abs(vals[i] - b) for i, b in before.items()), default=0.0)
 
 
 def _assemble(n: int, plus, minus, ones) -> SparseMatrix:
@@ -246,8 +249,8 @@ def build_case1(d) -> tuple[SparseMatrix, MovePlan]:
     high = [1.0 - shifted[j] for j in j1]
     _fit_to_sum(low, rows_a)
     _fit_to_sum(high, rows_b)
-    block_a = row_products(TetrisStream((i, v) for i, v in zip(j0, low) if v), rows_a)
-    block_b = row_products(TetrisStream((j, v) for j, v in zip(j1, high) if v), rows_b)
+    block_a = row_products(TetrisStream([(i, v) for i, v in zip(j0, low) if v]), rows_a)
+    block_b = row_products(TetrisStream([(j, v) for j, v in zip(j1, high) if v]), rows_b)
     P = _assemble(len(vals), [block_a], [block_b], j1)
     for i, x in zip(j0, low):
         shifted[i] = x

@@ -25,7 +25,7 @@ import numpy as np
 
 from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2
 from .diagonal import DiagonalSpec, Verdict, classify
-from .tetris import NeedsMoreTermsError, completed_columns
+from .tetris import NeedsMoreTermsError, completed_columns, sparse_rows
 from .verify import SparseMatrix, check_projection, necessity_oracle
 
 
@@ -219,7 +219,8 @@ def _cmd_stream(ns: argparse.Namespace) -> int:
             "use the build command for an assembled corner"
         )
     stream = plan.streams[0]
-    lines = [stream.next_row().to_json_line() for _ in range(ns.rows)]
+    start, lens, _, values = stream.take(ns.rows)
+    lines = [row.to_json_line() for row in sparse_rows(1, start, lens, values)]
     count, masses = completed_columns(stream)
     targets = stream.permuted_values(count)
     summary = {

@@ -52,18 +52,20 @@ def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> No
     u = E[i, i], v = E[j, j], w = E[i, j].
 
     ``E`` must be exactly symmetric (E == E.T entry for entry), as every
-    matrix the package rotates is. The two passes round (i, j) and (j, i)
-    differently, so the new (i, j) entry is mirrored onto (j, i); everywhere
-    else the column pass gives the row pass's numbers, and ``E`` stays
-    exactly symmetric.
+    matrix the package rotates is. Off the (i, j) block the column pass then
+    gives the row pass's numbers, so columns i and j are copied from the new
+    rows, and only the block's entries are formed by the column pass. The
+    two passes round (i, j) and (j, i) differently, so the new (i, j) entry
+    is mirrored onto (j, i), and ``E`` stays exactly symmetric.
     """
     ri = c * E[i] + s * E[j]
     rj = -s * E[i] + c * E[j]
     E[i], E[j] = ri, rj
-    ci = c * E[:, i] + s * E[:, j]
-    cj = -s * E[:, i] + c * E[:, j]
-    E[:, i], E[:, j] = ci, cj
-    E[j, i] = E[i, j]
+    E[:, i], E[:, j] = ri, rj
+    a, b, p, q = ri.item(i), ri.item(j), rj.item(i), rj.item(j)
+    E[i, i] = c * a + s * b
+    E[j, j] = -s * p + c * q
+    E[i, j] = E[j, i] = -s * a + c * b
 
 
 def rotate_rows_inplace(W: list[dict[int, float]], i: int, j: int, c: float, s: float) -> None:
@@ -96,24 +98,34 @@ def pair_products(lens, labels, values):
     lens = np.asarray(lens, dtype=np.intp)
     labels = np.asarray(labels, dtype=np.intp)
     values = np.asarray(values, dtype=float)
-    first = np.cumsum(lens) - lens  # each run's first entry
-    partners = np.repeat(lens, lens)  # the pairs each entry heads
+    first = np.add.accumulate(lens) - lens  # each run's first entry
+    partners = lens.repeat(lens)  # the pairs each entry heads
     # each pair's right factor: the entries of its run, in order
-    right = np.repeat(np.repeat(first, lens) - (np.cumsum(partners) - partners), partners)
+    right = (first.repeat(lens) - (np.add.accumulate(partners) - partners)).repeat(partners)
     right += np.arange(right.size)
-    w = np.repeat(values, partners)
+    w = values.repeat(partners)
     w *= values[right]
-    return np.repeat(labels, partners), labels[right], w
+    return labels.repeat(partners), labels[right], w
 
 
 def pair_entries(n: int, rows, cols, w) -> SparseMatrix:
     """The n x n sum with each w[p], in order, added at (rows[p], cols[p])
-    to +0.0, as its nonzeros. One ``np.unique`` groups the pairs by their
-    row-major position and one ``np.bincount`` adds each group in pair
-    order."""
+    to +0.0, as its nonzeros. The pairs are grouped by their row-major
+    position: an ``argsort`` of the positions, a mask of where the sorted
+    positions change and its running count give each pair its group's
+    rank, the ``np.unique`` inverse without its second pass. One
+    ``np.bincount`` adds each group in pair order."""
     keys = np.asarray(rows, dtype=np.int64) * n
     keys += cols
-    keys, slot = np.unique(keys, return_inverse=True)
+    order = keys.argsort()
+    keys = keys[order]
+    head = np.empty(keys.size, dtype=bool)  # the first pair of each group
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[order] = np.add.accumulate(head, dtype=np.intp)
+    slot -= 1
+    keys = keys[head]
     sums = np.bincount(slot, w, minlength=keys.size).astype(float, copy=False)
     nonzero = sums != 0.0
     return SparseMatrix(n, keys[nonzero], sums[nonzero])
@@ -145,9 +157,9 @@ class OpsRequest:
     eta0: float
 
     def __init__(self, d, i0, i1, eta0: float):
-        object.__setattr__(self, "d", tuple(float(x) for x in d))
-        object.__setattr__(self, "i0", tuple(int(k) for k in i0))
-        object.__setattr__(self, "i1", tuple(int(k) for k in i1))
+        object.__setattr__(self, "d", tuple(map(float, d)))
+        object.__setattr__(self, "i0", tuple(map(int, i0)))
+        object.__setattr__(self, "i1", tuple(map(int, i1)))
         object.__setattr__(self, "eta0", float(eta0))
         self._validate()
 
@@ -156,19 +168,18 @@ class OpsRequest:
         for k in self.i0 + self.i1:
             if not 0 <= k < n:
                 raise ValueError(f"index {k} out of range for length-{n} diagonal")
-        if set(self.i0) & set(self.i1):
+        set0, set1 = set(self.i0), set(self.i1)
+        if set0 & set1:
             raise ValueError("i0 and i1 overlap")
-        if len(set(self.i0)) != len(self.i0) or len(set(self.i1)) != len(self.i1):
+        if len(set0) != len(self.i0) or len(set1) != len(self.i1):
             raise ValueError("repeated index in i0 or i1")
         if self.eta0 < 0.0:
             raise ValueError(f"eta0 must be nonnegative, got {self.eta0}")
-        if self.i0 and self.i1:
-            hi0 = max(self.d[k] for k in self.i0)
-            lo1 = min(self.d[k] for k in self.i1)
-            if hi0 > lo1 + 1e-12:
-                raise ValueError(f"i0 values must sit below i1 values ({hi0} > {lo1})")
-        give = math.fsum(self.d[k] for k in self.i0)
-        take = math.fsum(1.0 - self.d[k] for k in self.i1)
+        low, high = list(map(self.d.__getitem__, self.i0)), list(map(self.d.__getitem__, self.i1))
+        if low and high and max(low) > min(high) + 1e-12:
+            raise ValueError(f"i0 values must sit below i1 values ({max(low)} > {min(high)})")
+        give = math.fsum(low)
+        take = math.fsum([1.0 - x for x in high])
         if self.eta0 > min(give, take) + SHIFT_BUDGET_TOL:
             raise ValueError(
                 f"eta0={self.eta0} exceeds transferable mass (give={give}, absorb={take})"
@@ -295,10 +306,10 @@ def rotate_to(E: np.ndarray, i: int, j: int, target: float) -> Move:
     2x2 block is fixed. Raises ValueError when ``target`` lies outside the
     block's eigenvalue interval.
     """
-    theta = _solve_rotation_angle(E[i, i], E[j, j], E[i, j], target)
-    move = Move(i, j, math.cos(theta), math.sin(theta))
-    move.apply_inplace(E)
-    return move
+    theta = _solve_rotation_angle(E.item(i, i), E.item(j, j), E.item(i, j), target)
+    c, s = math.cos(theta), math.sin(theta)
+    rotate_pair_inplace(E, i, j, c, s)
+    return Move(i, j, c, s)
 
 
 def ops_restore(
@@ -359,7 +370,7 @@ def _restore_inplace(E: np.ndarray, d_tilde, d, i0, i1) -> MovePlan:
         kj, eps = surpluses[b]
         t = min(delta, eps)
         if t > CLOSED_TOL:
-            plan.append(rotate_to(E, ki, kj, E[ki, ki] + t))
+            plan.append(rotate_to(E, ki, kj, E.item(ki, ki) + t))
         delta -= t
         eps -= t
         if delta <= CLOSED_TOL:

@@ -25,7 +25,21 @@ sums are kept only from there on: about one pull's worth.
 
 Once the source-order sums have used every term held, a pull takes as many
 new terms as are held, 1 to ``_CHUNK``: a short stream holds at most about
-twice the terms it uses, and a long one pulls ``_CHUNK`` at a time.
+twice the terms it uses, and a long one pulls ``_CHUNK`` at a time. A source
+given as a list or tuple is in memory already, so it is pulled ``_CHUNK`` at
+a time from the start: a finite block's terms come in one pull.
+
+Rows come one per call from ``next_row`` or R per call from ``take``; both
+read the thresholds ``_ensure_rows`` leaves, the one search, and give the
+same rows, split values a_n and column masses bit for bit. ``take`` forms
+the split values, the opening and closing pairs, the middle roots, the row
+norms and the column masses of all R rows with numpy, so it costs a fixed
+few dozen array calls plus a little per entry, and returns the rows as flat
+arrays. ``row_products`` (the blocks of ``build_case1`` and the case-II
+corners) and ``carpenter stream`` take all their rows in one call.
+``next_row`` stays scalar: a caller that wants one row at a time, such as a
+consumer of an endless stream, would pay those fixed array calls per row,
+several times the scalar row's cost.
 
 A stream keeps no row it has emitted. Per row it keeps m_n, k_n, sigma_n,
 a_n and, per term, its label, its value in both orders, its permuted
@@ -42,7 +56,7 @@ import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -69,6 +83,9 @@ _SNAP_TOL = 1e-13
 _BALANCE_TOL = 1e-9
 
 _SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
+
+_NO_ROWS = (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)  # take(0)
+_TWO, _FOUR = np.arange(2), np.arange(4)
 
 
 def _exact(x: float) -> int:
@@ -180,7 +197,8 @@ class TetrisStream:
     Public state, all read-only for callers:
       pi            permutation as source positions, extended blockwise;
       m, k          threshold counts m_n, k_n (entry n-1 holds the value for n);
-      sigma, a      per-row split parameters;
+      sigma         per-row split sums, for every row whose thresholds are found;
+      a             per-row split values, for every row emitted;
       rows_emitted  number of rows produced so far.
     """
 
@@ -190,6 +208,7 @@ class TetrisStream:
         else:
             pairs = source
         self._source: Iterator[tuple[int, float]] = iter(pairs)
+        self._listed = isinstance(pairs, (list, tuple))
         self.max_terms = max_terms
         self._labels: list[int] = []
         self._vals: list[float] = []
@@ -210,9 +229,10 @@ class TetrisStream:
     # -- source terms -----------------------------------------------------
 
     def _pull(self, target: float) -> None:
-        """Take and validate as many new source terms as are held: at least
-        one, at most ``_CHUNK``, never past ``max_terms``; append their exact
-        values and extend the source-order prefix sums by them.
+        """Take and validate as many new source terms as are held (``_CHUNK``
+        of a listed source): at least one, at most ``_CHUNK``, never past
+        ``max_terms``; append their exact values and extend the source-order
+        prefix sums by them.
 
         The chunk is checked with its min and max; an entry out of range,
         a NaN (which ``_exact`` refuses) or a bad pair is named by
@@ -223,19 +243,17 @@ class TetrisStream:
                 f"needs {held + 1} source terms (cap max_terms={self.max_terms}) "
                 f"while accumulating toward {target}; is the sum divergent?"
             )
-        chunk = list(islice(self._source, min(max(held, 1), _CHUNK, self.max_terms - held)))
+        size = _CHUNK if self._listed else max(held, 1)
+        chunk = list(islice(self._source, min(size, _CHUNK, self.max_terms - held)))
         if not chunk:
             raise NeedsMoreTermsError(f"source exhausted after {held} terms; partial sum cannot reach {target}")
         try:
             labels, values = zip(*chunk, strict=True)
             vals = list(map(float, values))
-            lo, hi = min(vals), max(vals)
-            # only the first pull holds position 0, and it takes one term
-            if held == 0:
-                in_range = 0.0 <= lo and hi < 1.0
-            else:
-                in_range = -SOLVE_A_TOL <= lo and hi <= 0.5 + SOLVE_A_TOL
-            if not in_range:
+            # position 0, in the first pull, has a range of its own
+            rest = vals if held else vals[1:]
+            lo, hi = min(rest, default=0.0), max(rest, default=0.0)
+            if not (-SOLVE_A_TOL <= lo and hi <= 0.5 + SOLVE_A_TOL and (held or 0.0 <= vals[0] < 1.0)):
                 raise ValueError
             if lo < 0.0:
                 vals = [max(v, 0.0) for v in vals]
@@ -252,7 +270,7 @@ class TetrisStream:
     # -- thresholds and permutation ---------------------------------------
 
     def _ensure_rows(self, n: int) -> None:
-        """Thresholds m, k, the permutation and sigma, a for rows 1..n.
+        """Thresholds m, k, the permutation and sigma for rows 1..n.
 
         The terms are nonnegative, so prefix sums never decrease: m_n is the
         first count from m_{n-1} + 2 on whose source-order sum reaches
@@ -303,7 +321,6 @@ class TetrisStream:
                     f"sigma bounds violated at n={nn}: sigma={s}, d1={d1}, d2={d2}"
                 )
             self.sigma.append(s)
-            self.a.append(_solve_a(s, d1, d2))
 
     def permuted_labels(self, count: int) -> list[int]:
         """Source labels of the first ``count`` columns in working order."""
@@ -360,7 +377,8 @@ class TetrisStream:
         n = self.rows_emitted + 1
         self._ensure_rows(n)
         kn = self.k[n - 1]
-        sig, a = self.sigma[n - 1], self.a[n - 1]
+        sig = self.sigma[n - 1]
+        a = _solve_a(sig, self._perm_vals[kn - 2], self._perm_vals[kn - 1])
         # permuted values are clamped nonnegative, so the middle entries
         # need no radicand check
         if n == 1:
@@ -386,8 +404,135 @@ class TetrisStream:
             mass[start + 1] += squares[1]
             del squares[:2]
         mass.extend(squares)
+        self.a.append(a)
         self.rows_emitted = n
         return row
+
+    def take(self, count: int):
+        """Rows ``rows_emitted + 1`` .. ``rows_emitted + count`` in one call,
+        as flat arrays (start, lens, cols, values): row r covers the
+        permuted columns start[r] .. start[r] + lens[r] - 1, which ``cols``
+        lists entry by entry, and holds the next lens[r] entries of
+        ``values``.
+
+        The rows, and the state they leave, are bit for bit those of
+        ``count`` ``next_row`` calls; so is a failure, which raises what the
+        first failing call would raise, after emitting the rows before it.
+        """
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        n0 = self.rows_emitted
+        try:
+            self._ensure_rows(n0 + count)
+        except Exception:
+            # the rows whose search passed come first, and may fail first
+            self._emit(len(self.sigma) - n0)
+            raise
+        return self._emit(count)
+
+    def _emit(self, count: int):
+        """``take``'s rows, whose thresholds are found: ``next_row``'s
+        arithmetic over all of them at once.
+
+        Each row but row 1 opens with the pair that the row before it
+        leaves, so the split values and radicands are formed over the row
+        before the batch too, when there is one (``h`` = 1), its a again as
+        it was. ``kb`` holds the k of those rows after one more whose row
+        ends where the first starts: k_{n0} + 2 before row n0, and 2 before
+        row 1, which starts on column 0. No two zeros of opposite sign meet
+        in _solve_a's max and min (sigma > 0), so numpy's choice between
+        equal operands is Python's. A row that fails a check sends the
+        batch through ``next_row``, which raises the first failure.
+        """
+        if count == 0:
+            return _NO_ROWS
+        n0 = self.rows_emitted
+        n1 = n0 + count
+        h = 1 if n0 else 0
+        k0 = self.k[n0 - 1] if n0 else 2
+        c0 = k0 - 2  # the first column that a row here touches
+        kb = np.array([k0 + 2, k0, *self.k[n0:n1]] if n0 else [2, *self.k[:n1]])
+        pv = np.array(self._perm_vals[c0 : self.k[n1 - 1]])
+        at = kb[1:] - (c0 + 2)  # each row's closing columns, in pv
+        sd1 = np.empty((2, count + h))  # sigma and d1 of each row
+        sd1[0] = self.sigma[n0 - h : n1]
+        sig, d1 = sd1[0], sd1[1]
+        pv.take(at, out=d1)
+        d2 = pv.take(at + 1)
+        # the radicands of each row's closing pair, (a, sigma - a), and of
+        # the opening pair it leaves the next row, (d1 - a, d2 - sigma + a).
+        # _solve_a's checks are _ensure_rows' sigma bounds on terms in
+        # [0, 1), with sigma <= 1 + 2**-41 by the thresholds.
+        rad = np.empty((4, count + h))
+        a = rad[0]
+        sd = sig - d2
+        den = sig + sig
+        den -= d1
+        den -= d2
+        a[:] = sig
+        np.divide(sig * sd, den, out=a, where=den > 0.0)
+        lo = np.maximum(sd, 0.0)
+        np.maximum(a, lo, out=a)
+        hi = np.minimum(sig, d1)
+        np.maximum(hi, lo, out=hi)
+        np.minimum(a, hi, out=a)
+        np.subtract(sd1, a, out=rad[1:3])
+        np.subtract(a, sd, out=rad[3])  # d2 - sigma is -(sigma - d2) exactly
+        root = np.sqrt(rad, out=np.zeros(rad.shape), where=rad > _SNAP_TOL)
+        bad = False
+        low = np.minimum.reduce(rad[2:, :-1], axis=None, initial=math.inf)  # row n1 opens no row here
+        if low <= _BALANCE_TOL:
+            bad = low < -1e-12
+            rx, ry = rad[2], rad[3]
+            u, w, x, y = root[0], root[1], root[2], root[3]
+            np.divide(y * w, u, out=x, where=(rx <= _BALANCE_TOL) & (rx <= ry) & (u > 0.0))
+            np.divide(x * u, w, out=y, where=(ry <= _BALANCE_TOL) & (ry < rx) & (w > 0.0))
+        root[2:, -1] = 0.0
+        squares = root * root
+
+        start = kb[:-1] - 2
+        lens = kb[1:] - start
+        ends = np.add.accumulate(lens)
+        first = ends - lens
+        cols = (start - first).repeat(lens)
+        cols += np.arange(cols.size)
+        sv = np.sqrt(pv)
+        flat = np.empty(cols.size + 4)  # two spare entries at each end
+        values = flat[2:-2]
+        sv.take(cols - c0, out=values)
+        # a row's closing pair, then the next row's opening pair: four
+        # entries from the row's end on, two of them spare for the rows
+        # that have no row before or after them here
+        np.negative(root[1], out=root[1])
+        flat[ends[:, None] + _FOUR] = root.T
+
+        norm2 = values * values
+        off = np.add.reduceat(norm2, first[h:])
+        off -= 1.0
+        np.abs(off, out=off)
+        # a sum of L squares lies within L * 2**-53 of its fsum: a row whose
+        # sum is that near the bound is checked by its fsum, as next_row does
+        if np.maximum.reduce(off) > ROW_NORM_TOL - int(np.maximum.reduce(lens)) * 2.0**-52:
+            off += lens[h:] * 2.0**-52
+            for j in (off > ROW_NORM_TOL).nonzero()[0].tolist():
+                bad = bad or abs(math.fsum(norm2[first[h + j] : ends[h + j]].tolist()) - 1.0) > ROW_NORM_TOL
+        if bad:
+            for _ in range(count):
+                self.next_row()
+            raise AssertionError(f"rows {n0 + 1}..{n1} failed a check that next_row passed")
+
+        # a column's mass is its entry's square, and on a row's closing
+        # columns the next row's opening square is added
+        mass = sv * sv
+        squares[:2] += squares[2:]
+        mass[at[:, None] + _TWO] = squares[:2].T
+        if h:  # row n0's closing columns are held already
+            self._col_mass[c0] += squares[2, 0]
+            self._col_mass[c0 + 1] += squares[3, 0]
+        self._col_mass.frombytes(mass[2 * h :].tobytes())
+        self.a.extend(a[h:].tolist())
+        self.rows_emitted = n1
+        return start[h:], lens[h:], cols, values
 
 
 def completed_columns(stream: TetrisStream):
@@ -404,19 +549,26 @@ def completed_columns(stream: TetrisStream):
     return count, np.array(stream._col_mass[:count])
 
 
+def sparse_rows(first: int, start, lens, values) -> Iterator[SparseRow]:
+    """The rows of one ``take``, as SparseRows numbered from ``first``,
+    made one at a time."""
+    values, lens = values.tolist(), lens.tolist()
+    rows = zip(start.tolist(), lens, accumulate(lens))
+    return (SparseRow(n, s, tuple(values[e - size : e])) for n, (s, size, e) in enumerate(rows, first))
+
+
 def row_products(stream: TetrisStream, rows: int):
     """``moves.pair_products`` of the first ``rows`` rows, in order, in
     source labels. ``stream`` must be fresh: its rows 1 .. ``rows`` are
-    emitted here, and the next ``next_row`` gives row ``rows + 1``."""
+    emitted here by one ``take``, whose flat columns and values go to the
+    kernel as they are, and the next ``next_row`` gives row ``rows + 1``."""
     if stream.rows_emitted:
         raise ValueError(f"projection_prefix needs a fresh stream; {stream.rows_emitted} rows already emitted")
     if rows < 0:
         raise ValueError(f"rows must be nonnegative, got {rows}")
-    emitted = [stream.next_row() for _ in range(rows)]
-    labels = stream.permuted_labels(len(stream.pi))
-    cols = chain.from_iterable(labels[row.start : row.start + len(row.values)] for row in emitted)
-    vals = chain.from_iterable(row.values for row in emitted)
-    return pair_products([len(row.values) for row in emitted], list(cols), list(vals))
+    _, lens, cols, values = stream.take(rows)
+    labels = np.array(stream._labels)[np.array(stream.pi, dtype=np.intp)[cols]]
+    return pair_products(lens, labels, values)
 
 
 def projection_prefix(stream: TetrisStream, rows: int) -> np.ndarray:

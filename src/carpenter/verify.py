@@ -200,8 +200,8 @@ def check_projection(P, d, tol: float = PROJECTION_TOL) -> VerificationReport:
     else:
         sym, skew_norm, idem, defect_norm, p_norm = defects
     diag = S.diagonal() if dense is None else dense.diagonal()
-    derr = float(np.max(np.abs(diag - target)))
-    tr = float(np.sum(diag))
+    derr = float(np.maximum.reduce(np.abs(diag - target)))
+    tr = float(np.add.reduce(diag))
     rank = _certified_rank(n, tr, skew_norm, defect_norm, p_norm)
     if rank is None:
         rank = _counted_rank(S.toarray() if dense is None else dense)
@@ -226,7 +226,8 @@ def _counted_rank(P: np.ndarray) -> int:
 def _norms(M: np.ndarray) -> tuple[float, float]:
     """Max-norm and Frobenius norm of ``M``, without an |M| copy (``abs``
     turns the -0.0 of an all-zero ``M`` into 0.0)."""
-    return abs(float(max(M.max(), -M.min()))), math.sqrt(float(np.vdot(M, M)))
+    top, bottom = np.maximum.reduce(M, axis=None), np.minimum.reduce(M, axis=None)
+    return abs(float(max(top, -bottom))), math.sqrt(float(np.vdot(M, M)))
 
 
 def _sparse_defects(P: SparseMatrix):

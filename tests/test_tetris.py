@@ -27,7 +27,7 @@ from carpenter import (
     projection_prefix,
 )
 from carpenter.builder import _fit_to_sum
-from carpenter.tetris import _CHUNK, _SCALE, ROW_NORM_TOL, SOLVE_A_TOL, _exact, _row_need, _solve_a
+from carpenter.tetris import _CHUNK, _SCALE, ROW_NORM_TOL, SOLVE_A_TOL, _exact, _row_need, _solve_a, sparse_rows
 from test_moves import dense_pair_sum
 
 
@@ -267,6 +267,21 @@ def test_source_validation_messages():
     assert message(quarters({1724: math.nan})) == ("entry nan at position 1724 outside [0, 1/2]", 256)
     assert message(quarters({1024: math.nan, 1724: 0.75})) == ("entry nan at position 1024 outside [0, 1/2]", 256)
     assert message(quarters({2047: math.inf})) == ("entry inf at position 2047 outside [0, 1/2]", 256)
+
+
+def test_listed_source_is_pulled_whole():
+    # a list is in memory already: its first pull takes up to _CHUNK terms,
+    # position 0 checked against [0, 1) and the others against [0, 1/2]
+    s = TetrisStream([(i, v) for i, v in enumerate([0.75, 0.25, 0.5, 0.5])])
+    s.next_row()
+    assert len(s._vals) == 4 and s.k == [2]
+    s = TetrisStream([(i, 0.25) for i in range(3 * _CHUNK)])
+    s.next_row()
+    assert len(s._vals) == _CHUNK
+    with pytest.raises(ValueError, match="entry 0.75 at position 1 outside"):
+        TetrisStream([(0, 0.75), (1, 0.75)]).next_row()
+    with pytest.raises(ValueError, match="first entry 1.0 outside"):
+        TetrisStream([(0, 1.0), (1, 0.25)]).next_row()
 
 
 def test_finite_source_exhausts():
@@ -776,3 +791,201 @@ def test_thresholds_match_reference_labelled_sources(head, pattern, bulk, first_
         return zip(itertools.count(first_label, 3), values)
 
     assert_matches_reference(make_source, 60)
+
+
+# take(R) emits R rows in one call with numpy; next_row keeps its scalar
+# path. The two must agree bit for bit: rows, thresholds, split values, the
+# permutation, column masses and the terms held, compared by .hex() so that
+# signed zeros count.
+
+
+def stream_state(stream):
+    """Everything a stream keeps about the rows it has emitted."""
+    n = stream.rows_emitted
+    return (
+        n,
+        stream.m[:n],
+        stream.k[:n],
+        [x.hex() for x in stream.sigma[:n]],
+        [x.hex() for x in stream.a],
+        stream.pi,
+        stream._labels,
+        [x.hex() for x in stream._perm_vals],
+        [x.hex() for x in stream._col_mass],
+        len(stream._vals),
+    )
+
+
+def row_key(row):
+    return row.n, row.start, [x.hex() for x in row.values]
+
+
+def taken_rows(stream, count):
+    """The rows of ``stream.take(count)``, as SparseRows."""
+    first = stream.rows_emitted + 1
+    start, lens, cols, values = stream.take(count)
+    assert lens.sum() == cols.size == values.size
+    assert cols.tolist() == [c for s, size in zip(start.tolist(), lens.tolist()) for c in range(s, s + size)]
+    return list(sparse_rows(first, start, lens, values))
+
+
+# take in chunks of 1, 7, 64 and the rest, with next_row calls in between
+TAKE_PLAN = [("take", 1), ("next_row", 1), ("take", 7), ("next_row", 2), ("take", 64), ("take", None)]
+
+
+def assert_take_matches(make_source, rows):
+    """Drive one stream over ``make_source()`` by TAKE_PLAN, and after every
+    call compare it with a next_row-only stream and the reference walk."""
+    stream, plain, ref = TetrisStream(make_source()), TetrisStream(make_source()), ReferenceThresholds(make_source())
+    for how, count in TAKE_PLAN:
+        count = rows - stream.rows_emitted if count is None else count
+        if how == "take":
+            got = taken_rows(stream, count)
+        else:
+            got = [stream.next_row() for _ in range(count)]
+        want = [plain.next_row() for _ in range(count)]
+        assert [row_key(r) for r in got] == [row_key(r) for r in want], how
+        assert stream_state(stream) == stream_state(plain), how
+        ref._ensure_rows(stream.rows_emitted)
+        assert (stream.m, stream.k, stream.pi, len(stream._vals)) == (ref.m, ref.k, ref.pi, len(ref._vals))
+        assert [x.hex() for x in stream.sigma] == [x.hex() for x in ref.sigma]
+        assert [x.hex() for x in stream.a] == [x.hex() for x in ref.a]
+    assert stream.rows_emitted == rows
+
+
+@ORACLE
+@given(st.sampled_from([0.1, 0.25, 1 / 3, 0.4, 0.5]), st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+def test_take_matches_next_row_constant_tails(c, head):
+    # exact hits at 1/2 and 1/4 give zero opening radicands, which the snap
+    # and the balance equation settle
+    spec = DiagonalSpec(() if head is None else (head,), ConstantTail(c))
+    assert_take_matches(lambda: enumerate(spec.values()), 150)
+
+
+@ORACLE
+@given(st.floats(0.25, 0.5), st.floats(0.2, 0.5), st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+def test_take_matches_next_row_power_tails(c, p, head):
+    spec = DiagonalSpec(() if head is None else (head,), PowerTail(c, p))
+    assert_take_matches(lambda: enumerate(spec.values()), 80)
+
+
+# with 0.5 - 2**-54 beside 0.3 or 0.4, _solve_a's root rounds past min(sigma,
+# d1) and its clamp binds
+TAKE_TERMS = HOSTILE_TERMS + [0.5 - 2.0**-54, 0.3, 2.0**-53]
+
+
+@ORACLE
+@given(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 0.75]),
+    st.lists(st.sampled_from(TAKE_TERMS), min_size=1, max_size=8),
+    st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
+    st.integers(0, 10**6),
+)
+def test_take_matches_next_row_labelled_sources(head, pattern, bulk, first_label):
+    def make_source():
+        values = itertools.chain([head], itertools.cycle(pattern + bulk))
+        return zip(itertools.count(first_label, 3), values)
+
+    assert_take_matches(make_source, 80)
+
+
+@pytest.mark.parametrize("c, rows", [(0.5, 20), (0.25, 20), (0.1, 4000)])
+def test_take_matches_next_row_through_the_balance_and_the_snap(c, rows):
+    # ties at 1/2 and 1/4 put opening radicands at exactly 0, below
+    # _SNAP_TOL and _BALANCE_TOL; for c = 0.1 the residue of float 0.1 !=
+    # 1/10 drifts across the snap tolerance after about 3,600 rows
+    stream, plain = const_stream(c), const_stream(c)
+    got = taken_rows(stream, rows)
+    assert [row_key(r) for r in got] == [row_key(plain.next_row()) for _ in range(rows)]
+    assert stream_state(stream) == stream_state(plain)
+    assert any(0.0 in row.values for row in got)
+
+
+def take_digest(stream, count):
+    h = hashlib.sha256()
+    for row in taken_rows(stream, count):
+        h.update(row.to_json_line().encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("c, head", list(ROW_DIGESTS))
+def test_take_rows_bit_identical_constant_families(c, head):
+    assert take_digest(const_stream(c, head=head), 1000) == ROW_DIGESTS[c, head]
+
+
+def test_take_rows_bit_identical_power_tail():
+    assert take_digest(TetrisStream(DiagonalSpec((), PowerTail(0.3, 0.5))), 100) == POWER_DIGEST
+
+
+def test_take_zero_and_negative_counts():
+    s = const_stream(0.4)
+    assert [a.size for a in s.take(0)] == [0, 0, 0, 0]
+    assert s.rows_emitted == 0 and s.k == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.take(-1)
+
+
+def first_failure(make_stream, calls):
+    """The error of the first failing call on a fresh ``make_stream()``,
+    and the stream as that error leaves it."""
+    stream = make_stream()
+    with pytest.raises(Exception) as err:
+        for call in calls:
+            call(stream)
+    return type(err.value), str(err.value), stream_state(stream)
+
+
+def assert_take_fails_as_next_row(make_stream, rows):
+    """``take(rows)``, alone or after next_row and a take of 7, raises what
+    the first failing of ``rows`` next_row calls raises, and leaves the
+    stream where those calls leave it; returns that error and state."""
+    want = first_failure(make_stream, [TetrisStream.next_row] * rows)
+    assert first_failure(make_stream, [lambda s: s.take(rows)]) == want
+    assert first_failure(make_stream, [TetrisStream.next_row, lambda s: s.take(7), lambda s: s.take(rows)]) == want
+    return want
+
+
+def quarter_stream(bad):
+    """0.25 everywhere but at the positions of ``bad``."""
+    return lambda: TetrisStream((i, bad.get(i, 0.25)) for i in itertools.count())
+
+
+@pytest.mark.parametrize(
+    "make_stream, rows, error",
+    [
+        (quarter_stream({1724: math.nan}), 300, (ValueError, "entry nan at position 1724 outside [0, 1/2]", 256)),
+        (quarter_stream({1724: 0.75}), 300, (ValueError, "entry 0.75 at position 1724 outside [0, 1/2]", 256)),
+        (
+            lambda: TetrisStream(iter([(i, 0.4) for i in range(7)])),
+            5,
+            (NeedsMoreTermsError, "source exhausted after 7 terms; partial sum cannot reach 3.0", 2),
+        ),
+        (
+            lambda: TetrisStream([(i, 0.4) for i in range(7)]),
+            5,
+            (NeedsMoreTermsError, "source exhausted after 7 terms; partial sum cannot reach 3.0", 2),
+        ),
+        (
+            lambda: TetrisStream(((i, 0.4) for i in itertools.count()), max_terms=10),
+            10,
+            (
+                NeedsMoreTermsError,
+                "needs 11 source terms (cap max_terms=10) while accumulating toward 5.0; is the sum divergent?",
+                4,
+            ),
+        ),
+    ],
+)
+def test_take_fails_as_next_row_on_bad_sources(make_stream, rows, error):
+    kind, message, state = assert_take_fails_as_next_row(make_stream, rows)
+    assert (kind, message, state[0]) == error
+
+
+def test_take_raises_a_float_failure_before_a_later_search_failure(monkeypatch):
+    # With no room for rounding in a row's norm, row 1 of six 0.3s (its
+    # squares sum to 1 - 2**-53) fails its norm check; the search for row 2
+    # runs out of terms, but take(2) raises row 1's failure first, as
+    # next_row calls do
+    monkeypatch.setattr("carpenter.tetris.ROW_NORM_TOL", 0.0)
+    kind, message, state = assert_take_fails_as_next_row(lambda: TetrisStream([(i, 0.3) for i in range(6)]), 2)
+    assert kind is AssertionError and message.startswith("row 1 norm^2 = ") and state[0] == 0

@@ -3,7 +3,8 @@ builds must go once through the functions it times and never through
 horn_build, the restore makes few rotations, the command line builds its
 argument parser once per process, scipy is imported only for summable power
 tails, the package reads no environment, every sum of v v^T goes through the
-one pair kernel, and every package the tests import is declared."""
+one pair kernel, the tetris stream searches its thresholds in one place, and
+every package the tests import is declared."""
 
 import argparse
 import ast
@@ -238,6 +239,27 @@ def test_every_sum_of_outer_products_goes_through_the_pair_kernel():
     assert banned == []
     assert weighted == {"moves.pair_entries"}
     assert add_at == {"verify._sparse_defects"}
+
+
+def test_tetris_has_one_threshold_search():
+    # The stream finds its thresholds in one place: _ensure_rows bisects the
+    # exact prefix sums that _pull alone makes from the terms. take and
+    # next_row emit rows from what that search leaves, so neither may search
+    # again, by bisect_left, a numpy searchsorted or exact sums of their own
+    # (projection_prefix's searchsorted ranks labels).
+    path = ROOT / "src" / "carpenter" / "tetris.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}  # node -> the innermost function holding it
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name
+    uses = {"bisect_left": set(), "_exact": set(), "searchsorted": set()}
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in uses:
+            uses[name].add(owner.get(id(node), "<module>"))
+    assert uses == {"bisect_left": {"_ensure_rows"}, "_exact": {"_pull"}, "searchsorted": {"projection_prefix"}}
 
 
 def test_test_imports_are_declared():
