@@ -3,15 +3,12 @@
 Every spectrum-preserving step in the package is one record, a :class:`Move`
 (i, j, c, s): conjugation by the plane rotation on coordinates i and j with
 cosine c and sine s. ``rotate_pair_inplace`` applies it to a dense
-symmetric matrix, row pass then column pass, for the restore and
-``MovePlan.replay``; ``rotate_rows_inplace`` applies it to the rows of a
-sparse factor W (the matrix W W^T), for ``horn_build``'s repairs.
-``rotate_to`` picks the rotation that lands the (i, i) entry on a target,
-applies it and returns its Move; a :class:`MovePlan` lists Moves in order.
-Replayed on what they were made on (``ops_restore``'s dense matrix,
-``horn_build``'s factor), the Moves reproduce the result bit for bit; a
-``horn_build`` plan replayed on its dense start matrix matches the built
-matrix to rounding only.
+symmetric matrix, row pass then column pass, for ``rotate_to`` and
+``MovePlan.replay``; ``rotate_to``, the one rotation the package chooses,
+picks the rotation that lands the (i, i) entry on a target, applies it and
+returns its Move; a :class:`MovePlan` lists Moves in order. Replayed on the
+dense matrix they were made on (``ops_restore``'s, ``horn_build``'s diagonal
+start), the Moves reproduce the result bit for bit.
 
 ``ops_shift`` edits a diagonal sequence directly, moving a prescribed amount
 of mass off a low block (toward 0) and onto a high block (toward 1).
@@ -21,10 +18,10 @@ until the original diagonal reappears, and returns them as a MovePlan; its
 pairing loop, ``_restore_inplace``, also serves ``build_case1``.
 
 Every sum of v v^T is formed by one kernel: ``pair_products`` lists the
-ordered pairs within each run of labelled values (a tetris row, a column of
-``horn_build``'s factor) and ``pair_entries`` adds them with one ``np.bincount``,
-each entry a sequential sum from +0.0 in run order, exactly symmetric, kept
-as sorted nonzeros; ``pair_sum`` places them in a dense matrix.
+ordered pairs within each run of labelled values (a tetris row) and
+``pair_entries`` adds them with one ``np.bincount``, each entry a sequential
+sum from +0.0 in run order, exactly symmetric, kept as sorted nonzeros;
+``pair_sum`` places them in a dense matrix.
 """
 
 from __future__ import annotations
@@ -66,29 +63,6 @@ def rotate_pair_inplace(E: np.ndarray, i: int, j: int, c: float, s: float) -> No
     E[i, i] = c * a + s * b
     E[j, j] = -s * p + c * q
     E[i, j] = E[j, i] = -s * a + c * b
-
-
-def rotate_rows_inplace(W: list[dict[int, float]], i: int, j: int, c: float, s: float) -> None:
-    """Rotate rows i and j of the factor ``W``, one ``{column: value}`` map
-    per row, in place: the conjugation of W W^T by the plane rotation G of
-    ``rotate_pair_inplace``, as G^T W.
-
-    The new rows are c*W[i] + s*W[j] and -s*W[i] + c*W[j], by the expressions
-    ``rotate_pair_inplace`` uses for the rows of a dense matrix, over the
-    union of the two rows' columns; exact zeros are dropped. The cost is the
-    two rows' supports, not the matrix size.
-    """
-    wi, wj = W[i], W[j]
-    ri, rj = {}, {}
-    for k in wi.keys() | wj.keys():
-        a, b = wi.get(k, 0.0), wj.get(k, 0.0)
-        x = c * a + s * b
-        y = -s * a + c * b
-        if x:
-            ri[k] = x
-        if y:
-            rj[k] = y
-    W[i], W[j] = ri, rj
 
 
 def pair_products(lens, labels, values):

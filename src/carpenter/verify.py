@@ -93,8 +93,17 @@ class SparseMatrix:
         than +0.0 when ``keep_negative_zeros`` is set."""
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {P.shape}")
-        keys = np.flatnonzero((P != 0.0) | np.signbit(P)) if keep_negative_zeros else np.flatnonzero(P)
-        return SparseMatrix(P.shape[0], keys, P.ravel()[keys])
+        # flatnonzero(P)'s keys at a fraction of its cost, from a boolean
+        # mask of 64 kB at a time, never n^2 bytes
+        flat, step = P.ravel(), 1 << 16
+        keys = [np.empty(0, dtype=np.intp)]
+        for a in range(0, flat.size, step):
+            nonzero = flat[a : a + step] != 0.0
+            if keep_negative_zeros:
+                nonzero |= np.signbit(flat[a : a + step])
+            keys.append(np.flatnonzero(nonzero) + a)
+        keys = np.concatenate(keys)
+        return SparseMatrix(P.shape[0], keys, flat[keys])
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """The row and the column of each entry."""

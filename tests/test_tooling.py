@@ -1,10 +1,11 @@
 """The benchmark's tracer must find every function it is told to time, finite
 builds must go once through the functions it times and never through
-horn_build, the restore makes few rotations, the command line builds its
-argument parser once per process, scipy is imported only for summable power
-tails, the package reads no environment, every sum of v v^T goes through the
-one pair kernel, the tetris stream searches its thresholds in one place, and
-every package the tests import is declared."""
+horn_build, the restore makes few rotations, rotate_to is the one rotation
+the package chooses, the command line builds its argument parser once per
+process, scipy is imported only for summable power tails, the package reads
+no environment, every sum of v v^T goes through the one pair kernel, the
+tetris stream searches its thresholds in one place, and every package the
+tests import is declared."""
 
 import argparse
 import ast
@@ -98,12 +99,11 @@ def test_finite_builds_pass_once_through_build_case1(monkeypatch, name):
 
 def test_no_build_route_calls_horn_build(monkeypatch):
     # horn_build stays exported for acceptance criterion 2; the builds do
-    # not reach it, nor its planner
+    # not reach it
     def refuse(*args, **kwargs):
         raise AssertionError("horn_build reached from a build route")
 
-    for name in ("horn_build", "_start_factor", "_plan_peels", "_waterfall", "_repair", "_gram"):
-        monkeypatch.setattr(carpenter.horn, name, refuse)
+    monkeypatch.setattr(carpenter.horn, "horn_build", refuse)
     monkeypatch.setattr(carpenter, "horn_build", refuse)
     for spec, options in FINITE_BUILDS.values():
         assert build(spec, options).report.all_pass
@@ -212,8 +212,8 @@ def dotted(node):
 
 
 def test_every_sum_of_outer_products_goes_through_the_pair_kernel():
-    # Case I blocks, case-II corners and horn's W W^T are all pair_entries
-    # of pair_products: no np.outer or np.ix_ block placement, a weighted
+    # Case I blocks and case-II corners are all pair_entries of
+    # pair_products: no np.outer or np.ix_ block placement, a weighted
     # np.bincount only in that kernel, and np.add.at only in the verifier,
     # which keeps its own pair expansion so that it stays independent of
     # what it checks.
@@ -239,6 +239,29 @@ def test_every_sum_of_outer_products_goes_through_the_pair_kernel():
     assert banned == []
     assert weighted == {"moves.pair_entries"}
     assert add_at == {"verify._sparse_defects"}
+
+
+def test_one_rotation_primitive():
+    # Every rotation the package chooses is rotate_to's: only it solves for
+    # an angle, and the dense kernel rotate_pair_inplace is called only
+    # inside moves.py (by rotate_to and by Move, for replays).
+    paths = sorted((ROOT / "src" / "carpenter").glob("*.py"))
+    assert len(paths) >= 8
+    calls = {"_solve_rotation_angle": set(), "rotate_pair_inplace": set()}
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[id(node)] = fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = (dotted(node.func) or "").rpartition(".")[2]
+                if name in calls:
+                    calls[name].add(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert calls["_solve_rotation_angle"] == {"moves.rotate_to"}
+    assert {where.partition(".")[0] for where in calls["rotate_pair_inplace"]} == {"moves"}
 
 
 def test_tetris_has_one_threshold_search():

@@ -399,6 +399,32 @@ def test_sparse_matrix_takes_its_form_from_sequences():
     assert rows.tolist() == [0, 1, 2] and cols.tolist() == [1, 2, 0]
 
 
+@pytest.mark.parametrize("keep_negative_zeros", [False, True])
+def test_from_dense_keeps_the_nonzero_keys(keep_negative_zeros):
+    # NaN and +-inf count as nonzero, a subnormal too; -0.0 only when asked
+    A = np.array([
+        [math.nan, 0.0, -0.0],
+        [math.inf, 5e-324, -math.inf],
+        [-0.0, -5e-324, 1.0],
+    ])
+    S = verify.SparseMatrix.from_dense(A, keep_negative_zeros=keep_negative_zeros)
+    want = [0, 3, 4, 5, 7, 8] if not keep_negative_zeros else [0, 2, 3, 4, 5, 6, 7, 8]
+    assert S.keys.tolist() == want
+    assert S.values.tobytes() == A.ravel()[want].tobytes()
+    # the same values scattered over a matrix of more entries than one mask
+    # holds, against a plain loop
+    rng = np.random.default_rng(6)
+    B = np.zeros((300, 300))
+    B.ravel()[rng.integers(0, B.size, 2000)] = rng.choice(A.ravel(), 2000)
+    S = verify.SparseMatrix.from_dense(B, keep_negative_zeros=keep_negative_zeros)
+    want = [
+        k for k, x in enumerate(B.ravel().tolist())
+        if x != 0.0 or math.isnan(x) or (keep_negative_zeros and math.copysign(1.0, x) < 0.0)
+    ]
+    assert S.keys.tolist() == want
+    assert S.values.tobytes() == B.ravel()[want].tobytes()
+
+
 def test_sparse_matrix_block_replaces_as_the_dense_matrix_does():
     rng = np.random.default_rng(8)
     A = np.where(rng.random((9, 9)) < 0.3, rng.standard_normal((9, 9)), 0.0)
