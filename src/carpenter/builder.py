@@ -43,9 +43,10 @@ from .diagonal import (
     classify,
     complement_spec,
     power_boundary,
+    power_sum,
 )
 from .moves import CLOSED_TOL, Move, MovePlan, OpsRequest, _restore_inplace, ops_shift, pair_entries
-from .tetris import TetrisStream, row_products
+from .tetris import NeedsMoreTermsError, TetrisStream, row_products
 from .verify import PROJECTION_TOL, SparseMatrix, VerificationReport, check_projection
 
 _APPROX_CORE_CAP = 10_000
@@ -281,10 +282,7 @@ def _build_power_approximate(
     zero_idx = [i for i, v in enumerate(vals) if v < eps]
     one_idx = [i for i, v in enumerate(vals) if v > 1.0 - eps]
     core = [v for v in vals if eps <= v <= 1.0 - eps]
-
-    from scipy.special import zeta  # costs ~0.3 s, so only power tails pay it
-
-    beyond = tail.c * float(zeta(tail.p, cutoff + 1))
+    beyond = tail.c * power_sum(tail.p, cutoff + 1)
     zeroed_mass = math.fsum(vals[i] for i in zero_idx) + beyond
     raised_gap = math.fsum(1.0 - vals[i] for i in one_idx)
     target = math.fsum(core) + zeroed_mass - raised_gap
@@ -382,6 +380,31 @@ def build_case2(spec: DiagonalSpec) -> CaseTwoPlan:
     )
 
 
+def check_term_budget(spec: DiagonalSpec, plan: CaseTwoPlan, rows: int) -> None:
+    """Raise NeedsMoreTermsError before the first pull when a block of
+    ``plan`` cannot reach row ``rows`` in ``max_terms`` terms: their sum is at
+    most its head (1) and prefix entries, c * i0**-p and (c / stride) *
+    power_sum(p, i0, i0 + max_terms * stride) from its first tail index i0 on.
+    The margin exceeds power_sum's rounding: a build that would finish passes."""
+    if plan.complemented:
+        spec = complement_spec(spec)
+    tail, stride = spec.tail, plan.stride
+    p = getattr(tail, "p", 0.0)  # a constant tail is c * i**-0
+    skip = {*plan.heads, *plan.trivial_ones, *plan.trivial_zeros}
+    dealt = [v for i, v in enumerate(spec.prefix) if i not in skip]
+    first = 1 + sum(i >= len(spec.prefix) for i in skip)  # the first tail index dealt
+    for b, stream in enumerate(plan.streams):
+        cap = stream.max_terms
+        i0 = first + (b - len(dealt)) % stride
+        reach = tail.c * (i0**-p + power_sum(p, i0, i0 + cap * stride) / stride)
+        reach += (b < len(plan.heads)) + math.fsum(dealt[b::stride])
+        if reach * (1.0 + 1e-9) < rows:
+            raise NeedsMoreTermsError(
+                f"needs {cap + 1} source terms (cap max_terms={cap}) "
+                f"while accumulating toward {float(rows)}; is the sum divergent?"
+            )
+
+
 def _build_case2_result(
     spec: DiagonalSpec, report: KadisonReport, options: BuildOptions
 ) -> BuildResult:
@@ -397,6 +420,7 @@ def _build_case2_result(
     R = options.truncation_rows
     if R == 0:
         return result
+    check_term_budget(spec, plan, R)
 
     blocks = []
     completed: set[int] = set()

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2
+from .builder import BuildOptions, InfeasibleDiagonalError, build, build_case2, check_term_budget
 from .diagonal import DiagonalSpec, Verdict, classify
 from .tetris import NeedsMoreTermsError, completed_columns, sparse_rows
 from .verify import SparseMatrix, check_projection, necessity_oracle
@@ -129,14 +129,11 @@ def _load_matrix(path: str, fmt: str | None) -> np.ndarray:
     return np.array([row for _, row in rows])
 
 
-def _matrix_to_csv(P) -> str:
-    """``P``, a ``SparseMatrix`` or a square dense array, as CSV text, every
-    entry ``"%.17g" % x``. Only the entries other than +0.0 (nonzeros, and
-    on a dense array -0.0, NaN and infinities) are formatted, and each row
-    is one reused list of cells with them put in; every +0.0 cell is the
-    shared string ``"0"``, which is what the format gives."""
-    if not isinstance(P, SparseMatrix):
-        P = SparseMatrix.from_dense(P, keep_negative_zeros=True)
+def _matrix_to_csv(P: SparseMatrix) -> str:
+    """``P`` as CSV text, every entry ``"%.17g" % x``. Only its stored
+    entries (nonzeros, and any stored -0.0, NaN or infinity) are formatted,
+    and each row is one reused list of cells with them put in; every other
+    cell is the shared string ``"0"``, which is what the format gives +0.0."""
     rows, cols = P.coords()
     ends = rows.searchsorted(np.arange(1, P.n + 1)).tolist()
     cols = cols.tolist()
@@ -218,6 +215,7 @@ def _cmd_stream(ns: argparse.Namespace) -> int:
             "this diagonal needs complementation or multiple blocks; "
             "use the build command for an assembled corner"
         )
+    check_term_budget(spec, plan, ns.rows)
     stream = plan.streams[0]
     start, lens, _, values = stream.take(ns.rows)
     lines = [row.to_json_line() for row in sparse_rows(1, start, lens, values)]

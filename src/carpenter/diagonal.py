@@ -29,10 +29,16 @@ INTEGRALITY_TOL = 1e-9
 # Accuracy contract for convergent tail sums, relative to max(1, |sum|).
 TAIL_SUM_TOL = 1e-12
 
-# Largest index boundary we are willing to scan when a power tail spends a long
-# time at or above 1/2 before decaying. Beyond this the direct band summation
-# would dominate the runtime, so the input is rejected as out of range.
+# Largest tail index at which a power tail may stand at or above 1/2. The sums
+# cost O(1) at any index, but ``build_case2`` makes one stream per entry above
+# 1/2, so a tail past this is rejected as out of range.
 _MAX_BAND = 50_000_000
+
+# B_2k / (2k)! for k = 1 .. 8, the Euler–Maclaurin coefficients of power_sum
+_BERNOULLI = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+    -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
+)
 
 
 @dataclass(frozen=True)
@@ -199,28 +205,38 @@ def power_boundary(tail: PowerTail, threshold: float) -> int:
     return k
 
 
-def _power_band_sum(tail: PowerTail, lo: int, hi: int) -> float:
-    """Sum of (1 - value(i)) for lo <= i <= hi, by direct chunked summation."""
-    total = 0.0
-    chunk = 1 << 16
-    i = lo
-    while i <= hi:
-        j = min(hi, i + chunk - 1)
-        idx = np.arange(i, j + 1, dtype=float)
-        vals = np.minimum(tail.c * idx ** (-tail.p), 1.0)
-        total += float(np.sum(1.0 - vals))
-        i = j + 1
-    return total
+def power_sum(p: float, lo: int, hi: float = math.inf) -> float:
+    """Sum of i**-p over the integers lo <= i <= hi, for p >= 0 and lo >= 1;
+    inf when hi is inf and p <= 1. The first 12 terms are added directly,
+    the rest by Euler–Maclaurin from m = lo + 12: the integral, half the end
+    terms and the Bernoulli terms B_2 .. B_16, all in one ``math.fsum``. The
+    integral is m**(1 - p) * expm1((1 - p) * u) / (1 - p), or u at p = 1,
+    with u = log(hi / m) as log1p((hi - m) / m): on a short band far out,
+    log(hi / m) loses digits to the rounding of hi / m.
+    """
+    terms = [float(i) ** -p for i in range(lo, min(lo + 12, hi + 1))]
+    m = lo + 12
+    if m > hi:
+        return math.fsum(terms)
+    u = math.log1p((hi - m) / m)
+    terms.append(m ** (1.0 - p) * (u if p == 1.0 else math.expm1((1.0 - p) * u) / (1.0 - p)))
+    terms += [0.5 * m**-p, 0.5 * hi**-p]
+    rising = p  # p (p + 1) ... (p + 2k - 2), from the (2k - 1)-th derivative
+    for k, coeff in enumerate(_BERNOULLI, 1):
+        terms.append(coeff * rising * (m ** (1 - p - 2 * k) - hi ** (1 - p - 2 * k)))
+        rising *= (p + 2 * k - 1) * (p + 2 * k)
+    return math.fsum(terms)
 
 
 def tail_sums(spec: DiagonalSpec) -> TailSums:
     """Contribution of the tail to the two Kadison sums.
 
     Returns (sum of tail entries < 1/2, sum of 1 - entry over tail entries
-    >= 1/2). Divergent sums come back as ``math.inf``; a convergent one is
-    within ``TAIL_SUM_TOL * max(1, |sum|)`` of the true sum. The bound is
-    relative because these sums reach 1e5 and more (c = 5e5, p = 1.2 gives
-    a = 2.5e5), where a few ulps already exceed 1e-12.
+    >= 1/2), each from one ``power_sum`` on a power tail, in O(1). Divergent
+    sums come back as ``math.inf``; a convergent one is within
+    ``TAIL_SUM_TOL * max(1, |sum|)`` of the true sum, relative because these
+    sums reach 1e5 and more (c = 5e5, p = 1.2 gives a = 2.5e5), where a few
+    ulps already exceed 1e-12.
     """
     tail = spec.tail
     if tail is None:
@@ -232,17 +248,13 @@ def tail_sums(spec: DiagonalSpec) -> TailSums:
         if c < 0.5:
             return TailSums(math.inf, 0.0)
         return TailSums(0.0, math.inf)
-    # Power tail: finitely many entries sit at or above 1/2, so the b side is
-    # always a finite band sum. The a side converges exactly when p > 1, where
-    # it equals c times a Hurwitz zeta value.
+    # Power tail: entries are capped at 1 up to i_one and at or above 1/2 up
+    # to i_half. a is c times the power sum past i_half, inf when p <= 1; b
+    # is the band's entry count less c times its power sum.
     i_half = power_boundary(tail, 0.5)
     i_one = power_boundary(tail, 1.0)
-    b_part = _power_band_sum(tail, i_one + 1, i_half) if i_half > i_one else 0.0
-    if tail.p <= 1.0:
-        return TailSums(math.inf, b_part)
-    from scipy.special import zeta  # costs ~0.3 s, so only power tails pay it
-
-    a_part = tail.c * float(zeta(tail.p, i_half + 1))
+    a_part = tail.c * power_sum(tail.p, i_half + 1)
+    b_part = (i_half - i_one) - tail.c * power_sum(tail.p, i_one + 1, i_half)
     return TailSums(a_part, b_part)
 
 

@@ -88,9 +88,8 @@ class SparseMatrix:
         return self.n
 
     @staticmethod
-    def from_dense(P: np.ndarray, keep_negative_zeros: bool = False) -> "SparseMatrix":
-        """The entries of the square array ``P`` other than zeros, or other
-        than +0.0 when ``keep_negative_zeros`` is set."""
+    def from_dense(P: np.ndarray) -> "SparseMatrix":
+        """The nonzero entries of the square array ``P``."""
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {P.shape}")
         # flatnonzero(P)'s keys at a fraction of its cost, from a boolean
@@ -98,10 +97,7 @@ class SparseMatrix:
         flat, step = P.ravel(), 1 << 16
         keys = [np.empty(0, dtype=np.intp)]
         for a in range(0, flat.size, step):
-            nonzero = flat[a : a + step] != 0.0
-            if keep_negative_zeros:
-                nonzero |= np.signbit(flat[a : a + step])
-            keys.append(np.flatnonzero(nonzero) + a)
+            keys.append(np.flatnonzero(flat[a : a + step] != 0.0) + a)
         keys = np.concatenate(keys)
         return SparseMatrix(P.shape[0], keys, flat[keys])
 

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +20,14 @@ from carpenter import (
     build,
     build_case1,
     build_case2,
+    complement_spec,
     tail_sums,
 )
+import carpenter
 from carpenter import moves as carpenter_moves
+from carpenter.builder import check_term_budget
 from carpenter.diagonal import INTEGRALITY_TOL
-from carpenter.tetris import _CHUNK
+from carpenter.tetris import _CHUNK, NeedsMoreTermsError
 
 
 def idempotence_defect(P):
@@ -484,9 +490,21 @@ def test_corner_streams_hold_at_most_twice_the_terms_they_use(name):
 
 
 # random_approximate_spec(default_rng(7)) at epsilon 1e-3: sha256 of the
-# matrix bytes (re-recorded when the core moved from horn_build to
-# build_case1), and the reported bound, which that did not move.
-POWER_APPROX_PIN = ("453c36d07d163db76fe3750745f07c9da5d38126df4ec5c6da68a7547c3b2bac", 0.0009629343740758971)
+# matrix bytes and the reported bound. Re-recorded when tail_sums moved from
+# scipy's zeta and a direct band sum to power_sum: the spec's solved prefix
+# entry moved by a few ulps (0.26581521181899537 to 0.26581521181899515),
+# so the matrix did; the bound did not.
+POWER_APPROX_PIN = ("922a65e02104bd617690ece615ee756a2175d470a1d3608fc874fd1911945fc4", 0.0009629343740758971)
+# The spec random_approximate_spec(default_rng(7)) gave before that change,
+# written out: it still builds to the matrix and bound pinned before it, so
+# the approximate route itself is unchanged.
+POWER_APPROX_LITERAL = (
+    DiagonalSpec(
+        (0.25268647099153263, 0.32014965642010285, 0.8361981008566357, 0.26581521181899537),
+        PowerTail(0.8280496606787029, 2.0501145599256003),
+    ),
+    ("453c36d07d163db76fe3750745f07c9da5d38126df4ec5c6da68a7547c3b2bac", 0.0009629343740758971),
+)
 
 
 def test_power_approximate_bit_identical():
@@ -494,3 +512,119 @@ def test_power_approximate_bit_identical():
     res = build(spec, BuildOptions(mode="approximate", epsilon=1e-3))
     got = (hashlib.sha256(res.matrix.tobytes()).hexdigest(), res.approximation_error)
     assert got == POWER_APPROX_PIN
+
+
+def test_power_approximate_route_bit_identical_on_a_literal_spec():
+    spec, pin = POWER_APPROX_LITERAL
+    res = build(spec, BuildOptions(mode="approximate", epsilon=1e-3))
+    assert (hashlib.sha256(res.matrix.tobytes()).hexdigest(), res.approximation_error) == pin
+
+
+# Power-tail corners small enough to form: PowerTail(0.4, 1.0) at R = 3 is
+# one block of 1,015 columns (its fourth row alone spans 11,354); the second
+# has two tail heads, so two blocks. Recorded before the term budget check,
+# which must not move them.
+POWER_CORNERS = {
+    "harmonic": (
+        DiagonalSpec((), PowerTail(0.4, 1.0)),
+        3,
+        (
+            "46fb9451afb5fc093bc21dfb22800386bb36f994adbd35d8559a6551e648707d",
+            "c82798bc2e24e250c5238b84a912255c8c4a655b4ce81d35cfbe190d7cfa5fa7",
+        ),
+    ),
+    "two-heads": (
+        DiagonalSpec((0.3,), PowerTail(0.9, 0.8)),
+        6,
+        (
+            "e8f188d4d7c52d7c42f80083fb61997a5b2f1ba4823b0ba80078086a3d856d6d",
+            "02e567fc510ebf7a06d457267e6dd449f8bf8f343fee562256e313f0495d153e",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CORNERS))
+def test_power_corner_bit_identical(name):
+    spec, rows, digests = POWER_CORNERS[name]
+    assert result_digests(build(spec, BuildOptions(truncation_rows=rows))) == digests
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_hopeless_case2_build_fails_before_the_first_pull(tmp_path):
+    # The two blocks of ½ · 0.9 · i**-0.8 reach a sum of only about 64 within
+    # 10^7 terms each, so row 200 is out of reach; the build used to pull all
+    # 10^7 terms (44 s, 2.2 GB) before saying so. The child caps its address
+    # space so that a build that does pull them fails fast, and reads its
+    # peak RSS from VmHWM, which (unlike ru_maxrss) starts afresh at exec.
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(DiagonalSpec((0.3,), PowerTail(0.9, 0.8)).to_json_dict()))
+    code = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from carpenter import BuildOptions, DiagonalSpec, PowerTail, build\n"
+        "from carpenter.cli import main\n"
+        "from carpenter.tetris import NeedsMoreTermsError\n"
+        "t = time.perf_counter()\n"
+        "try:\n"
+        "    build(DiagonalSpec((0.3,), PowerTail(0.9, 0.8)), BuildOptions(truncation_rows=200))\n"
+        "except NeedsMoreTermsError as e:\n"
+        "    print(e)\n"
+        "built = time.perf_counter()\n"
+        "code = main(['build', '--input', sys.argv[1], '--rows', '200'])\n"
+        "print(code, built - t, time.perf_counter() - built)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))\n"
+    )
+    src = str(Path(carpenter.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(f)], capture_output=True, text=True, cwd=src, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    message, timing, peak_kb = proc.stdout.splitlines()
+    assert message.startswith("needs 10000001 source terms (cap max_terms=10000000)")
+    assert proc.stderr.startswith("error: needs 10000001 source terms (cap max_terms=10000000)")
+    code, build_s, cli_s = timing.split()
+    assert code == "2" and float(build_s) < 1.0 and float(cli_s) < 1.0
+    assert int(peak_kb) < 100 * 1024
+
+
+def budget_specs():
+    """Seeded case-II specs: power tails (p = 1 among them) and constant
+    tails, one complemented, under prefixes of 0 to 2 heads above 1/2 (the
+    stride) and 0 to 3 entries below it (the dealer's offset)."""
+    rng = np.random.default_rng(11)
+    tails = [PowerTail(float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.3, 1.0))) for _ in range(8)]
+    tails += [PowerTail(0.7, 1.0), PowerTail(2.5, 1.0), ConstantTail(0.3), ConstantTail(0.8)]
+    for tail in tails:
+        prefix = rng.uniform(0.55, 0.95, rng.integers(0, 3)).tolist()
+        prefix += rng.uniform(0.0, 0.5, rng.integers(0, 4)).tolist()
+        rng.shuffle(prefix)
+        yield DiagonalSpec(prefix, tail)
+
+
+@pytest.mark.parametrize("spec", list(budget_specs()), ids=str)
+def test_term_budget_bounds_each_block_from_above(spec):
+    # Each block's first 10^5 terms, from the spec's entries dealt as the
+    # plan deals them and summed exactly, stay within the budget's bound:
+    # check_term_budget lets that sum through as a row to reach, and refuses
+    # twice it plus 2. The other blocks get a cap so large that they pass.
+    cap = 10**5
+    plan = build_case2(spec)
+    work = complement_spec(spec) if plan.complemented else spec
+    skip = {*plan.heads, *plan.trivial_ones, *plan.trivial_zeros}
+    n = len(work.prefix) + len(skip) + plan.stride * (cap + 1)
+    i = np.arange(1, n - len(work.prefix) + 1, dtype=float)
+    if isinstance(work.tail, ConstantTail):
+        tail = np.full(i.size, work.tail.c)
+    else:
+        tail = np.minimum(work.tail.c * i**-work.tail.p, 1.0)
+    vals = np.concatenate([work.prefix, tail])
+    dealt = np.delete(vals, sorted(skip))
+    for b, stream in enumerate(plan.streams):
+        for other in plan.streams:
+            other.max_terms = cap if other is stream else 10**15
+        heads = [vals[plan.heads[b]]] if b < len(plan.heads) else []
+        exact = math.fsum([*heads, *dealt[b :: plan.stride][: cap - len(heads)]])
+        check_term_budget(spec, plan, exact)
+        with pytest.raises(NeedsMoreTermsError, match=r"cap max_terms=100000\)"):
+            check_term_budget(spec, plan, 2 * exact + 2)

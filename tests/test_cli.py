@@ -12,7 +12,7 @@ import pytest
 
 import carpenter
 import carpenter.cli
-from carpenter import BuildOptions, NeedsMoreTermsError, build
+from carpenter import BuildOptions, NeedsMoreTermsError, SparseMatrix, build
 from carpenter.cli import main
 from test_builder import CORNER_SPECS, integer_sum_diagonal, near_integer_diagonal, random_approximate_spec
 
@@ -107,6 +107,14 @@ def test_stream_rejects_multi_block_plans(tmp_path, capsys):
     assert "multiple blocks" in capsys.readouterr().err
 
 
+def test_stream_out_of_budget_fails_before_the_first_pull(tmp_path, capsys):
+    # 0.3 * i**-0.5 sums to about 1,900 over the 10^7 terms a stream may
+    # pull, so row 5,000 is refused up front, before any term is pulled.
+    f = write(tmp_path, "d.json", '{"prefix": [], "tail": {"kind": "power", "c": 0.3, "p": 0.5}}')
+    assert main(["stream", "--input", f, "--rows", "5000"]) == 2
+    assert capsys.readouterr().err.startswith("error: needs 10000001 source terms (cap max_terms=10000000)")
+
+
 def test_negative_counts_are_input_errors(tmp_path, capsys):
     # README: malformed input exits 1; neither command may write an output
     f = write(tmp_path, "d.json", '{"prefix": [], "tail": {"kind": "constant", "c": 0.4}}')
@@ -137,7 +145,7 @@ def test_verify_nan_matrix_fails_with_exit_two(tmp_path, capsys):
     P = build(d).matrix
     P[0, 0] = np.nan
     f = write(tmp_path, "d.json", json.dumps(d))
-    m = write(tmp_path, "P.csv", carpenter.cli._matrix_to_csv(P))
+    m = write(tmp_path, "P.csv", reference_csv(P))
     assert main(["verify", "--input", m, "--diagonal", f]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["all_pass"] is False
@@ -149,8 +157,9 @@ def reference_csv(P):
     return "\n".join(",".join("%.17g" % x for x in row) for row in P) + "\n"
 
 
-def assert_csv_round_trips(tmp_path, P):
-    text = carpenter.cli._matrix_to_csv(P)
+def assert_csv_round_trips(tmp_path, S):
+    P = S.toarray()
+    text = carpenter.cli._matrix_to_csv(S)
     assert text == reference_csv(P)
     back = carpenter.cli._load_matrix(write(tmp_path, "P.csv", text), None)
     assert back.shape == P.shape
@@ -160,24 +169,24 @@ def assert_csv_round_trips(tmp_path, P):
 def test_csv_of_builds_matches_reference(tmp_path):
     for n in [*range(1, 13), 17, 31, 64, 100, 150, 200, 256, 300]:
         d = integer_sum_diagonal(np.random.default_rng(n), n)
-        assert_csv_round_trips(tmp_path, build(d).matrix)
+        assert_csv_round_trips(tmp_path, build(d).entries)
 
 
 @pytest.mark.parametrize("name", ["case2-multi-block", "case2-complemented"])
 def test_csv_of_corners_matches_reference(tmp_path, name):
-    assert_csv_round_trips(tmp_path, build(CORNER_SPECS[name], BuildOptions(truncation_rows=12)).matrix)
+    assert_csv_round_trips(tmp_path, build(CORNER_SPECS[name], BuildOptions(truncation_rows=12)).entries)
 
 
 def test_csv_of_approximate_power_tail_matches_reference(tmp_path):
     spec = random_approximate_spec(np.random.default_rng(7))
     res = build(spec, BuildOptions(mode="approximate", epsilon=1e-3))
-    assert_csv_round_trips(tmp_path, res.matrix)
+    assert_csv_round_trips(tmp_path, res.entries)
 
 
 def test_csv_of_dense_and_special_values_matches_reference(tmp_path):
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-300, 300, size=(40, 40))
-    assert_csv_round_trips(tmp_path, dense)
+    assert_csv_round_trips(tmp_path, SparseMatrix.from_dense(dense))
     specials = np.array(
         [
             [0.0, -0.0, np.nan, np.inf],
@@ -186,16 +195,18 @@ def test_csv_of_dense_and_special_values_matches_reference(tmp_path):
             [2.0**-1022, 1 - 2.0**-53, 0.5, 0.0],
         ]
     )
-    assert carpenter.cli._matrix_to_csv(specials) == reference_csv(specials)
-    assert carpenter.cli._matrix_to_csv(specials).splitlines()[0] == "0,-0,nan,inf"
+    # every entry stored but the two +0.0s, at (0, 0) and (3, 3)
+    keys = np.arange(1, 15)
+    S = SparseMatrix(4, keys, specials.ravel()[keys])
+    assert carpenter.cli._matrix_to_csv(S) == reference_csv(specials)
+    assert carpenter.cli._matrix_to_csv(S).splitlines()[0] == "0,-0,nan,inf"
     # "nan" reads back as a NaN, not necessarily with the same bits
     finite = np.where(np.isnan(specials), 0.25, specials)
-    assert_csv_round_trips(tmp_path, finite)
+    assert_csv_round_trips(tmp_path, SparseMatrix(4, keys, finite.ravel()[keys]))
 
 
 def test_csv_of_empty_matrix_is_one_newline():
-    P = np.zeros((0, 0))
-    assert carpenter.cli._matrix_to_csv(P) == reference_csv(P) == "\n"
+    assert carpenter.cli._matrix_to_csv(SparseMatrix(0, [], [])) == reference_csv(np.zeros((0, 0))) == "\n"
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
@@ -326,7 +337,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
     proc = run("build", "--input", f, "--output", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert out.read_text() == carpenter.cli._matrix_to_csv(build([0.5, 0.5]).matrix)
+    assert out.read_text() == carpenter.cli._matrix_to_csv(build([0.5, 0.5]).entries)
     proc = run("build", "--input", str(tmp_path / "missing.json"))
     assert proc.returncode == 1
     assert "input file not found" in proc.stderr

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from carpenter import (
     complement_spec,
     tail_sums,
 )
-from carpenter.diagonal import TAIL_SUM_TOL
+from carpenter.cli import main
+from carpenter.diagonal import _MAX_BAND, TAIL_SUM_TOL, power_boundary, power_sum
 
 
 def test_spec_validation():
@@ -97,6 +99,83 @@ def test_tail_sums_power_against_mpmath(c, p):
         got_a, got_b = tail_sums(DiagonalSpec((), PowerTail(c, p)))
         for got, want in ((got_a, want_a), (got_b, want_b)):
             assert abs(got - want) <= TAIL_SUM_TOL * max(1.0, abs(want)), (got, want)
+
+
+def mp_power_sum(mpmath, p, lo, hi):
+    """The sum of i**-p over lo <= i <= hi (hi may be inf) to 80 significant
+    digits. Hurwitz zeta is accurate to the working precision in absolute
+    terms, so the working precision also covers the sum's magnitude,
+    about lo**-p: at 80 digits flat, zeta(20.57, 12243), about 1e-80, is
+    off by 1.2e-14 relative."""
+    with mpmath.workdps(80 + int(p * math.log10(lo))):
+        P = mpmath.mpf(p)
+        if p == 1.0:
+            return mpmath.harmonic(hi) - mpmath.harmonic(lo - 1)
+        if math.isinf(hi):
+            return mpmath.zeta(P, lo)
+        return mpmath.zeta(P, lo) - mpmath.zeta(P, hi + 1)
+
+
+@pytest.mark.parametrize("family", ["below-one", "near-one", "above-one"])
+def test_power_sum_against_mpmath(family):
+    # Seeded p in (0.05, 1), {1, 1 +- 1e-9} or (1.0001, 21); lo from 1 to
+    # 10^6, log-uniform; hi up to lo + 5e7, or inf (for p > 1 only).
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(family)
+    for _ in range(100):
+        if family == "below-one":
+            p = rng.uniform(0.05, 1.0)
+        elif family == "near-one":
+            p = rng.choice([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+        else:
+            p = rng.uniform(1.0001, 21.0)
+        lo = int(10 ** rng.uniform(0.0, 6.0))
+        hi = math.inf if p > 1.0 and rng.random() < 0.5 else lo + int(10 ** rng.uniform(0.0, math.log10(5e7)))
+        want = mp_power_sum(mpmath, p, lo, hi)
+        err = float(abs(power_sum(p, lo, hi) - want) / want)
+        assert err <= 1e-14, (p, lo, hi, err)
+
+
+def test_power_sum_short_and_empty_ranges():
+    assert power_sum(2.0, 5, 4) == 0.0
+    assert power_sum(1.0, 2, 2) == 0.5
+    assert power_sum(0.5, 1, 12) == math.fsum(i**-0.5 for i in range(1, 13))
+    assert math.isinf(power_sum(1.0, 7)) and math.isinf(power_sum(0.3, 1))
+
+
+@pytest.mark.parametrize("p", [0.6, 1.0, 1.5, 3.0])
+def test_tail_sums_near_max_band(p):
+    # c * i**-p stands at or above 1/2 up to just below _MAX_BAND: the band
+    # holds up to 5e7 entries, and classify still costs O(1) (it took 0.24 s
+    # on the 4.6e7 entries of PowerTail(2e4, 0.6) when it summed the band).
+    mpmath = pytest.importorskip("mpmath")
+    tail = PowerTail(0.5 * (_MAX_BAND - 3.0) ** p, p)
+    i_half, i_one = power_boundary(tail, 0.5), power_boundary(tail, 1.0)
+    assert _MAX_BAND - 10 < i_half <= _MAX_BAND and i_one < i_half
+    start = time.perf_counter()
+    rep = classify(DiagonalSpec((), tail))
+    assert time.perf_counter() - start < 0.05
+    a, b = rep.a, rep.b
+    with mpmath.workdps(80):
+        C = mpmath.mpf(tail.c)
+        want_b = (i_half - i_one) - C * mp_power_sum(mpmath, p, i_one + 1, i_half)
+        want_a = C * mp_power_sum(mpmath, p, i_half + 1, math.inf) if p > 1.0 else math.inf
+    assert abs(b - want_b) <= TAIL_SUM_TOL * max(1.0, abs(want_b)), (b, want_b)
+    if p > 1.0:
+        assert abs(a - want_a) <= TAIL_SUM_TOL * max(1.0, abs(want_a)), (a, want_a)
+    else:
+        assert math.isinf(a)
+
+
+@pytest.mark.parametrize("p", [0.6, 1.0, 1.5])
+def test_tails_past_max_band_are_rejected(tmp_path, capsys, p):
+    spec = DiagonalSpec((), PowerTail(0.5 * (_MAX_BAND + 10.0) ** p, p))
+    with pytest.raises(ValueError, match="parameters out of supported range"):
+        classify(spec)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(spec.to_json_dict()))
+    assert main(["classify", "--input", str(f)]) == 1
+    assert "parameters out of supported range" in capsys.readouterr().err
 
 
 def test_tail_sums_power_divergent():
@@ -193,16 +272,20 @@ def test_complement_swaps_defect_sums():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about 0.3 s at import; only power tails need zeta
+    # numpy is the one dependency: power sums are summed in closed form, so
+    # importing the package and its command line loads no scipy module
     import carpenter
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(carpenter.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, carpenter, carpenter.cli; print('scipy.special' in sys.modules)"
+    code = (
+        "import sys, carpenter, carpenter.cli\n"
+        "print('scipy.special' in sys.modules, any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_finite_build_and_verify_leave_scipy_sparse_and_linalg_unloaded():
@@ -218,7 +301,7 @@ def test_finite_build_and_verify_leave_scipy_sparse_and_linalg_unloaded():
         "d = [0.5] * 300\n"
         "assert carpenter.build(d).report.all_pass\n"
         "carpenter.check_projection(np.eye(3), [1.0] * 3)\n"
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

@@ -2,15 +2,16 @@
 builds must go once through the functions it times and never through
 horn_build, the restore makes few rotations, rotate_to is the one rotation
 the package chooses, the command line builds its argument parser once per
-process, scipy is imported only for summable power tails, the package reads
-no environment, every sum of v v^T goes through the one pair kernel, the
-tetris stream searches its thresholds in one place, and every package the
-tests import is declared."""
+process, no scipy module is ever loaded, the package reads no environment,
+every sum of v v^T goes through the one pair kernel, the tetris stream
+searches its thresholds in one place, every package the tests import is
+declared, and the package imports numpy alone."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -163,26 +164,42 @@ def test_cli_import_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
-def test_scipy_is_imported_only_for_summable_power_tails():
-    # scipy costs about 0.3 s of import time; only p > 1 power tails use it
+def test_no_scipy_module_is_loaded(tmp_path):
+    # numpy is the one dependency: classify and build over finite, constant
+    # and power tails (p < 1, p = 1, and p > 1 on the approximate route),
+    # verify a dense matrix and run one carpenter stream, all in a fresh
+    # process, and no scipy module gets loaded on the way.
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(DiagonalSpec((0.3,), ConstantTail(0.4)).to_json_dict()))
     code = (
         "import sys\n"
-        "from carpenter import BuildOptions, ConstantTail, DiagonalSpec, PowerTail, build, classify\n"
-        "seen = ['scipy' in sys.modules]\n"
+        "import numpy as np\n"
+        "from carpenter import BuildOptions, ConstantTail, DiagonalSpec, PowerTail\n"
+        "from carpenter import build, check_projection, classify, tail_sums\n"
+        "from carpenter.cli import main\n"
         "build([0.25, 0.5, 0.75, 0.5])\n"
-        "seen.append('scipy' in sys.modules)\n"
-        "build(DiagonalSpec((0.7,), ConstantTail(0.4)), BuildOptions(truncation_rows=5))\n"
-        "seen.append('scipy' in sys.modules)\n"
-        "classify(DiagonalSpec((), PowerTail(0.3, 1.0)))\n"
-        "seen.append('scipy' in sys.modules)\n"
-        "classify(DiagonalSpec((), PowerTail(0.3, 2.0)))\n"
-        "seen.append('scipy' in sys.modules)\n"
-        "print(seen)\n"
+        "check_projection(np.eye(3), [1.0] * 3)\n"
+        "for spec, rows in [\n"
+        "    (DiagonalSpec((0.7,), ConstantTail(0.4)), 5),\n"
+        "    (DiagonalSpec((0.5, 0.5), ConstantTail(1.0)), 3),\n"
+        "    (DiagonalSpec((0.3,), PowerTail(0.9, 0.8)), 3),\n"
+        "    (DiagonalSpec((), PowerTail(0.4, 1.0)), 2),\n"
+        "]:\n"
+        "    classify(spec)\n"
+        "    build(spec, BuildOptions(truncation_rows=rows))\n"
+        "a, b = tail_sums(DiagonalSpec((), PowerTail(3.0, 2.0)))\n"
+        "spec = DiagonalSpec((1.0 - (a - b),), PowerTail(3.0, 2.0))\n"
+        "assert classify(spec).verdict.value == 'case_i'\n"
+        "assert build(spec, BuildOptions(mode='approximate', epsilon=1e-3)).report.all_pass\n"
+        "assert main(['stream', '--input', sys.argv[1], '--rows', '5', '--output', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     src = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src)
+    args = [sys.executable, "-c", code, str(d), str(tmp_path / "rows.jsonl")]
+    proc = subprocess.run(args, capture_output=True, text=True, cwd=src)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, False, True]\n"
+    assert proc.stdout == "[]\n"
+    assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 6  # five rows and the summary
 
 
 def test_package_reads_no_environment():
@@ -322,3 +339,13 @@ def test_test_imports_are_declared():
     }
     assert {"numpy", "pytest", "hypothesis", "mpmath"} <= third_party.keys()
     assert {name: where for name, where in third_party.items() if name not in declared} == {}
+    # The package's own third-party imports, at any depth (inside a function
+    # too), are exactly its declared dependencies: numpy alone.
+    used = set()
+    for path in sorted((ROOT / "src" / "carpenter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                used.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                used.add(node.module.split(".")[0])
+    assert {name for name in used if name not in sys.stdlib_module_names} == set(project["dependencies"]) == {"numpy"}
